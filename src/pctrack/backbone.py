@@ -17,7 +17,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import ball_query_padded
-from .numeric import BatchNorm, Linear, MLP, Param, relu_backward, relu_forward
+from .numeric import (
+    BatchNorm,
+    Linear,
+    MLP,
+    Param,
+    max_pool_forward,
+    max_pool_winners,
+    relu_backward,
+    relu_forward,
+    scatter_rows,
+)
 from .sampling import (
     SampleSelection,
     sample_dfps,
@@ -28,6 +38,15 @@ from .sampling import (
 )
 
 SAMPLER_NAMES = ("random", "dfps", "ffps", "ras", "hybrid")
+# Samplers that score points against the template branch's features; the
+# template branch itself has none to score against.
+RELATION_SAMPLERS = ("ras", "hybrid")
+
+
+def check_template_sampler(name: str):
+    if name in RELATION_SAMPLERS:
+        raise ValueError(f"template_sampler {name!r} needs template features; "
+                         f"the template branch cannot use {', '.join(RELATION_SAMPLERS)}")
 
 
 @dataclass(frozen=True)
@@ -65,6 +84,7 @@ class BackboneSpec:
         for name in (self.template_sampler, self.search_sampler):
             if name not in SAMPLER_NAMES:
                 raise ValueError(f"unknown sampler {name!r}")
+        check_template_sampler(self.template_sampler)
 
     @property
     def out_channels(self) -> int:
@@ -97,6 +117,14 @@ class SetAbstraction:
     single output row. The first layer's matmul is split into a per-point
     part (computed once per source point) and a per-neighbor relative part,
     which is the same arithmetic at a fraction of the cost.
+
+    The max-pool takes values; each channel's winner is its first maximum
+    along the neighbor axis, and the backward recovers the winners itself.
+    A level of one Linear without BN (``pool_first``) pools the
+    pre-activations and applies ReLU after the pool, which gives the same
+    values because ReLU is monotone. Its backward then writes only the
+    m·c winner entries. Deeper or normalized levels rectify every neighbor
+    before the pool and run the dense backward.
     """
 
     def __init__(self, in_ch: int, spec: SALevelSpec, rng: np.random.Generator,
@@ -112,6 +140,7 @@ class SetAbstraction:
             BatchNorm(w, name=f"{name}.{i}.bn", dtype=dtype) if use_bn else None
             for i, w in enumerate(spec.mlp_dims)
         ]
+        self.pool_first = len(self.layers) == 1 and not use_bn
 
     def params(self) -> list[Param]:
         out = []
@@ -144,54 +173,68 @@ class SetAbstraction:
         w_rel = first.weight.value[:, self.in_ch:]
         point_part = feats @ w_feat.T
         z = point_part[idx] + rel @ w_rel.T + first.bias.value
-        z = z.reshape(m * k, -1)
 
-        layer_caches = []
-        for i, (lin, norm) in enumerate(zip(self.layers, self.norms)):
-            if i > 0:
-                z, c_lin = lin.forward(z)
-            else:
-                c_lin = None
-            c_norm = None
-            if norm is not None:
-                z, c_norm = norm.forward(z, training)
-            z, c_act = relu_forward(z)
-            layer_caches.append((c_lin, c_norm, c_act))
-
-        grouped = z.reshape(m, k, -1)
-        arg = grouped.argmax(axis=1)
-        pooled = np.take_along_axis(grouped, arg[:, None, :], axis=1)[:, 0, :]
-        cache = (idx, rel, feats, layer_caches, arg, (m, k))
+        if self.pool_first:
+            # ReLU is monotone, so it commutes with max: pool the
+            # pre-activations and rectify only the m pooled rows.
+            top, c_pool = max_pool_forward(z)
+            pooled, _ = relu_forward(top)
+            layer_caches = None
+        else:
+            z = z.reshape(m * k, -1)
+            layer_caches = []
+            for i, (lin, norm) in enumerate(zip(self.layers, self.norms)):
+                if i > 0:
+                    z, c_lin = lin.forward(z)
+                else:
+                    c_lin = None
+                c_norm = None
+                if norm is not None:
+                    z, c_norm = norm.forward(z, training)
+                z, c_act = relu_forward(z)
+                layer_caches.append((c_lin, c_norm, c_act))
+            pooled, c_pool = max_pool_forward(z.reshape(m, k, -1))
+        cache = (idx, rel, feats, layer_caches, c_pool, pooled)
         return (centroids, pooled), cache
 
     def backward(self, d_pooled: np.ndarray, cache) -> np.ndarray:
         """Returns the gradient w.r.t. the level's input features."""
-        idx, rel, feats, layer_caches, arg, (m, k) = cache
-        c_last = d_pooled.shape[1]
-        dz_group = np.zeros((m, k, c_last), dtype=d_pooled.dtype)
+        idx, rel, feats, layer_caches, c_pool, pooled = cache
+        arg = max_pool_winners(c_pool)
+        m, c_last = arg.shape
         rows = np.arange(m)[:, None]
-        cols = np.arange(c_last)[None, :]
-        dz_group[rows, arg, cols] = d_pooled
-        dz = dz_group.reshape(m * k, c_last)
-
-        for i in range(len(self.layers) - 1, -1, -1):
-            c_lin, c_norm, c_act = layer_caches[i]
-            dz = relu_backward(dz, c_act)
-            if self.norms[i] is not None:
-                dz = self.norms[i].backward(dz, c_norm)
-            if i > 0:
-                dz = self.layers[i].backward(dz, c_lin)
+        if layer_caches is None:
+            # Only each channel's winner carries gradient, so work on the m·c
+            # winners alone: their source points, their rows of rel.
+            dz = relu_backward(d_pooled, pooled)
+            g = scatter_rows(dz, idx[rows, arg], feats.shape[0])
+            d_w_rel = np.einsum("mo,mor->or", dz, rel[rows, arg])
+            d_bias = dz.sum(axis=0)
+        else:
+            k = idx.shape[1]
+            dz_group = np.zeros((m, k, c_last), dtype=d_pooled.dtype)
+            dz_group[rows, arg, np.arange(c_last)[None, :]] = d_pooled
+            dz = dz_group.reshape(m * k, c_last)
+            for i in range(len(self.layers) - 1, -1, -1):
+                c_lin, c_norm, c_act = layer_caches[i]
+                dz = relu_backward(dz, c_act)
+                if self.norms[i] is not None:
+                    dz = self.norms[i].backward(dz, c_norm)
+                if i > 0:
+                    dz = self.layers[i].backward(dz, c_lin)
+            dz = dz.reshape(m, k, -1)
+            # Scatter per-neighbor gradients back onto source points; the
+            # aggregate serves both the weight and the feature gradient.
+            g = np.zeros((feats.shape[0], dz.shape[2]), dtype=dz.dtype)
+            np.add.at(g, idx.reshape(-1), dz.reshape(-1, dz.shape[2]))
+            d_w_rel = np.einsum("mko,mkr->or", dz, rel)
+            d_bias = dz.sum(axis=(0, 1))
 
         first = self.layers[0]
-        dz = dz.reshape(m, k, -1)
-        # Scatter per-neighbor gradients back onto source points, then use the
-        # aggregate for both the weight gradient and the feature gradient.
-        g = np.zeros((feats.shape[0], dz.shape[2]), dtype=dz.dtype)
-        np.add.at(g, idx.reshape(-1), dz.reshape(-1, dz.shape[2]))
         w_feat = first.weight.value[:, : self.in_ch]
         first.weight.grad[:, : self.in_ch] += g.T @ feats
-        first.weight.grad[:, self.in_ch:] += np.einsum("mko,mkr->or", dz, rel)
-        first.bias.grad += dz.sum(axis=(0, 1))
+        first.weight.grad[:, self.in_ch:] += d_w_rel
+        first.bias.grad += d_bias
         return g @ w_feat
 
 

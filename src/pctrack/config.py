@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field, fields
 
-from .backbone import SAMPLER_NAMES, BackboneSpec, SALevelSpec
+from .backbone import SAMPLER_NAMES, BackboneSpec, SALevelSpec, check_template_sampler
 from .heads import HeadSpec
 from .model import ModelSpec, TrackerModel
 
@@ -53,6 +53,7 @@ class RunConfig:
             raise ValueError("per-level model lists must have equal lengths")
         if self.template_sampler not in SAMPLER_NAMES:
             raise ValueError(f"unknown template_sampler {self.template_sampler!r}")
+        check_template_sampler(self.template_sampler)
         if self.search_sampler not in SAMPLER_NAMES:
             raise ValueError(f"unknown search_sampler {self.search_sampler!r}")
         if self.lam < 0:

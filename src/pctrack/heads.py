@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Box3D, ball_query_padded, wrap_angle
-from .numeric import MLP, Param
+from .numeric import MLP, Param, max_pool_forward, max_pool_winners, scatter_rows
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,10 @@ def local_pool_forward(queries: np.ndarray, cloud_coords: np.ndarray,
                        group=None):
     """Max-pool each query's in-radius neighbor features; empty → zero row.
 
-    ``group`` replays a previous (idx, counts) neighborhood assignment so the
-    pooling becomes a fixed function of the feature values.
+    Pools by value; the backward recovers each channel's winner, the first
+    maximum along the neighbor axis. ``group`` replays a previous
+    (idx, counts) neighborhood assignment so the pooling becomes a fixed
+    function of the feature values.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -187,24 +189,22 @@ def local_pool_forward(queries: np.ndarray, cloud_coords: np.ndarray,
         group = (idx, counts)
     else:
         idx, counts = group
-    gathered = cloud_feats[idx]                       # (M, K, C)
-    arg = gathered.argmax(axis=1)
-    pooled = np.take_along_axis(gathered, arg[:, None, :], axis=1)[:, 0, :]
+    top, c_pool = max_pool_forward(cloud_feats[idx])  # over (M, K, C)
     empty = counts == 0
-    pooled[empty] = 0.0
-    cache = (idx, arg, empty, cloud_feats.shape)
+    pooled = np.where(empty[:, None], 0.0, top)
+    cache = (idx, c_pool, empty, cloud_feats.shape[0])
     return pooled, cache, group
 
 
 def local_pool_backward(d_pooled: np.ndarray, cache) -> np.ndarray:
-    """Routes each pooled channel's gradient to the neighbor that won the max."""
-    idx, arg, empty, feats_shape = cache
-    m, c = d_pooled.shape
-    d_feats = np.zeros(feats_shape, dtype=d_pooled.dtype)
+    """Routes each pooled channel's gradient to the neighbor that won the max.
+
+    Recovers the winners from the cached pooling and writes only M·C entries.
+    """
+    idx, c_pool, empty, n_points = cache
+    arg = max_pool_winners(c_pool)
     d_eff = np.where(empty[:, None], 0.0, d_pooled)
-    winner = np.take_along_axis(idx, arg, axis=1)      # (M, C) source-point ids
-    np.add.at(d_feats, (winner.reshape(-1), np.tile(np.arange(c), m)), d_eff.reshape(-1))
-    return d_feats
+    return scatter_rows(d_eff, np.take_along_axis(idx, arg, axis=1), n_points)
 
 
 # ---------------------------------------------------------------------------

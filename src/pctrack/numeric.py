@@ -220,6 +220,33 @@ def relu_backward(dy: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.where(out > 0, dy, 0.0)
 
 
+def max_pool_forward(x: np.ndarray):
+    """Max over the middle axis of an (M, K, C) stack, by value.
+
+    The cache holds the input and the pooled values; the backward recovers
+    each channel's winner from them, so the forward never pays for argmax.
+    """
+    top = x.max(axis=1)
+    return top, (x, top)
+
+
+def max_pool_winners(cache) -> np.ndarray:
+    """(M, C) position along K of each channel's first maximum, as argmax picks it."""
+    x, top = cache
+    return (x == top[:, None, :]).argmax(axis=1)
+
+
+def scatter_rows(d: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """Adds each d[m, c] into row rows[m, c], column c, of an (n_rows, C) zero array.
+
+    Accumulates in (m, c) order, so repeated rows sum in a fixed order.
+    """
+    m, c = d.shape
+    out = np.zeros((n_rows, c), dtype=d.dtype)
+    np.add.at(out.reshape(-1), (rows * c + np.arange(c)).reshape(-1), d.reshape(-1))
+    return out
+
+
 def softmax_rows_forward(x: np.ndarray):
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from pctrack.geometry import Box3D, points_in_box
+from pctrack.geometry import Box3D, ball_query_padded, points_in_box
+from pctrack.numeric import relu_backward, relu_forward
 
 
 def random_box(rng: np.random.Generator, center_span: float = 3.0) -> Box3D:
@@ -90,3 +91,81 @@ def foreground_fixture(rng: np.random.Generator, n_search: int = 160, fg_frac: f
     fg_mask = order < n_fg
     template = rng.normal(scale=0.4, size=(48, 3))
     return search, template, fg_mask
+
+
+def reference_sa_forward(sa, coords, feats, selection, training=False):
+    """Dense set-abstraction level: rectify every neighbor, argmax-pool.
+
+    Runs ``sa``'s own layers; returns ((centroids, pooled), cache).
+    """
+    sel = selection.indices
+    centroids = coords[sel]
+    idx, _ = ball_query_padded(centroids, coords, sa.spec.radius,
+                               sa.spec.max_neighbors, fill_idx=sel)
+    m, k = idx.shape
+    rel = (coords[idx] - centroids[:, None, :]).astype(feats.dtype)
+    first = sa.layers[0]
+    w_feat = first.weight.value[:, : sa.in_ch]
+    w_rel = first.weight.value[:, sa.in_ch:]
+    z = (feats @ w_feat.T)[idx] + rel @ w_rel.T + first.bias.value
+    z = z.reshape(m * k, -1)
+    layer_caches = []
+    for i, (lin, norm) in enumerate(zip(sa.layers, sa.norms)):
+        c_lin = c_norm = None
+        if i > 0:
+            z, c_lin = lin.forward(z)
+        if norm is not None:
+            z, c_norm = norm.forward(z, training)
+        z, c_act = relu_forward(z)
+        layer_caches.append((c_lin, c_norm, c_act))
+    grouped = z.reshape(m, k, -1)
+    arg = grouped.argmax(axis=1)
+    pooled = np.take_along_axis(grouped, arg[:, None, :], axis=1)[:, 0, :]
+    return (centroids, pooled), (idx, rel, feats, layer_caches, arg)
+
+
+def reference_sa_backward(sa, d_pooled, cache):
+    """Dense backward over all m·k neighbor rows; returns the feature gradient."""
+    idx, rel, feats, layer_caches, arg = cache
+    m, k = idx.shape
+    c_last = d_pooled.shape[1]
+    dz_group = np.zeros((m, k, c_last), dtype=d_pooled.dtype)
+    dz_group[np.arange(m)[:, None], arg, np.arange(c_last)[None, :]] = d_pooled
+    dz = dz_group.reshape(m * k, c_last)
+    for i in range(len(sa.layers) - 1, -1, -1):
+        c_lin, c_norm, c_act = layer_caches[i]
+        dz = relu_backward(dz, c_act)
+        if sa.norms[i] is not None:
+            dz = sa.norms[i].backward(dz, c_norm)
+        if i > 0:
+            dz = sa.layers[i].backward(dz, c_lin)
+    first = sa.layers[0]
+    dz = dz.reshape(m, k, -1)
+    g = np.zeros((feats.shape[0], dz.shape[2]), dtype=dz.dtype)
+    np.add.at(g, idx.reshape(-1), dz.reshape(-1, dz.shape[2]))
+    first.weight.grad[:, : sa.in_ch] += g.T @ feats
+    first.weight.grad[:, sa.in_ch:] += np.einsum("mko,mkr->or", dz, rel)
+    first.bias.grad += dz.sum(axis=(0, 1))
+    return g @ first.weight.value[:, : sa.in_ch]
+
+
+def reference_local_pool_forward(queries, cloud_coords, cloud_feats, radius):
+    """Argmax pooling over every in-radius neighbor; empty → zero row."""
+    idx, counts = ball_query_padded(queries, cloud_coords, radius,
+                                    max_k=cloud_coords.shape[0])
+    gathered = cloud_feats[idx]
+    arg = gathered.argmax(axis=1)
+    pooled = np.take_along_axis(gathered, arg[:, None, :], axis=1)[:, 0, :]
+    empty = counts == 0
+    pooled[empty] = 0.0
+    return pooled, (idx, arg, empty, cloud_feats.shape)
+
+
+def reference_local_pool_backward(d_pooled, cache):
+    idx, arg, empty, feats_shape = cache
+    m, c = d_pooled.shape
+    d_feats = np.zeros(feats_shape, dtype=d_pooled.dtype)
+    d_eff = np.where(empty[:, None], 0.0, d_pooled)
+    winner = np.take_along_axis(idx, arg, axis=1)
+    np.add.at(d_feats, (winner.reshape(-1), np.tile(np.arange(c), m)), d_eff.reshape(-1))
+    return d_feats

@@ -9,8 +9,11 @@ from pctrack.backbone import (
     SetAbstraction,
     select_points,
 )
+from pctrack.geometry import ball_query_padded
 from pctrack.numeric import grad_check
 from pctrack.sampling import SampleSelection, sample_dfps
+
+from helpers import reference_sa_backward, reference_sa_forward
 
 
 TINY_SPEC = BackboneSpec(
@@ -107,20 +110,25 @@ def test_sa_split_matmul_matches_plain_concat():
     np.testing.assert_allclose(pooled, np.maximum(naive, 0).max(axis=1), atol=1e-12)
 
 
-def test_sa_grad_check():
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+@pytest.mark.parametrize("use_bn", [False, True], ids=["plain", "bn"])
+@pytest.mark.parametrize("mlp_dims", [(5,), (5, 4)], ids=["1layer", "2layer"])
+def test_sa_grad_check(mlp_dims, use_bn, training):
+    """Weight gradients on both SA paths: pool-then-ReLU and dense (deep or BN)."""
     rng = np.random.default_rng(6)
     sa = SetAbstraction(3, SALevelSpec(radius=1.0, out_template=3, out_search=3,
-                                       mlp_dims=(5, 4), max_neighbors=4),
-                        rng, "sa", dtype=np.float64)
+                                       mlp_dims=mlp_dims, max_neighbors=4),
+                        rng, "sa", dtype=np.float64, use_bn=use_bn)
+    assert sa.pool_first == (len(mlp_dims) == 1 and not use_bn)
     coords = rng.normal(scale=0.5, size=(9, 3))
     feats = rng.normal(size=(9, 3))
     sel = sample_dfps(coords, 3)
-    w_loss = rng.normal(size=(3, 4))
+    w_loss = rng.normal(size=(3, mlp_dims[-1]))
 
     def fn():
         for p in sa.params():
             p.zero_grad()
-        (_, pooled), cache = sa.forward(coords, feats, sel)
+        (_, pooled), cache = sa.forward(coords, feats, sel, training)
         sa.backward(w_loss, cache)
         return float((w_loss * pooled).sum())
 
@@ -148,6 +156,60 @@ def test_sa_input_feature_gradient():
         return float((w_loss * pooled).sum())
 
     assert grad_check(fn, [feats]) < 1e-5
+
+
+@pytest.mark.parametrize("mlp_dims,use_bn,training", [
+    ((6,), False, False),
+    ((6,), False, True),
+    ((5, 4), False, False),
+    ((6,), True, False),
+    ((6,), True, True),
+], ids=["1layer", "1layer-train", "2layer", "bn", "bn-train"])
+def test_sa_matches_dense_argmax_reference_bitwise(mlp_dims, use_bn, training):
+    """Value pooling and the winner-only backward equal the dense argmax
+    algorithm bit for bit in float32, across padded centroids, tied padded
+    neighborhoods and channels that are <= 0 in every neighbor."""
+
+    def make():
+        sa = SetAbstraction(4, SALevelSpec(radius=0.6, out_template=14, out_search=14,
+                                           mlp_dims=mlp_dims, max_neighbors=6),
+                            np.random.default_rng(30), "sa", dtype=np.float32,
+                            use_bn=use_bn)
+        sa.layers[-1].bias.value[:2] = -50.0
+        # Channel 2 ignores the offsets, so points with equal features tie.
+        sa.layers[0].weight.value[2, 4:] = 0.0
+        return sa
+
+    rng = np.random.default_rng(31)
+    # A tight cluster fills neighborhoods; far points leave them padded.
+    coords = np.vstack([rng.normal(scale=0.2, size=(7, 3)),
+                        rng.uniform(-4.0, 4.0, size=(3, 3)) + [9.0, 0.0, 0.0]])
+    coords = coords.astype(np.float32)
+    sa, ref = make(), make()
+    feats = rng.normal(size=(10, 4)).astype(np.float32)
+    feats[[1, 2]] = 4.0 * sa.layers[0].weight.value[2, :4]
+    sel = sample_dfps(coords, 14)
+    assert sel.padded
+    _, counts = ball_query_padded(coords[sel.indices], coords, 0.6, 6)
+    assert counts.min() == 1 and counts.max() == 6
+    d_pooled = rng.normal(size=(14, mlp_dims[-1])).astype(np.float32)
+
+    assert sa.pool_first == (len(mlp_dims) == 1 and not use_bn)
+    (_, pooled), cache = sa.forward(coords, feats, sel, training)
+    d_feats = sa.backward(d_pooled, cache)
+    (_, pooled_ref), cache_ref = reference_sa_forward(ref, coords, feats, sel, training)
+    d_feats_ref = reference_sa_backward(ref, d_pooled, cache_ref)
+
+    assert pooled.dtype == np.float32 and d_feats.dtype == np.float32
+    if not use_bn:
+        assert not pooled[:, :2].any()
+    np.testing.assert_array_equal(pooled, pooled_ref)
+    np.testing.assert_array_equal(d_feats, d_feats_ref)
+    for p, q in zip(sa.params(), ref.params()):
+        assert p.grad.any(), p.name
+        np.testing.assert_array_equal(p.grad, q.grad, err_msg=p.name)
+    for name, buf in sa.buffers().items():
+        np.testing.assert_array_equal(buf, ref.buffers()[name], err_msg=name)
 
 
 # ---------------------------------------------------------------- full backbone

@@ -187,6 +187,14 @@ def test_bench_json_output(capsys):
     assert stats["total_ms_mean"] >= stats["backbone_ms_mean"] > 0
 
 
+@pytest.mark.parametrize("name", ["ras", "hybrid"])
+def test_template_relation_sampler_is_validation_error(name, capsys):
+    rc = main(["bench", "--profile", "tiny", "--set", f"template_sampler={name}",
+               "--template", "32", "--search", "64", "--repeats", "1", "--warmup", "0"])
+    assert rc == 1
+    assert "template_sampler" in capsys.readouterr().err
+
+
 def test_ablation_flag_changes_model(small_dataset, tmp_path):
     runs = {}
     for name, extra in [("base", []), ("ab", ["--ablation", "matcher-cosine"])]:

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from pctrack.backbone import BackboneSpec
 from pctrack.config import (
     PROFILES,
     RunConfig,
@@ -105,6 +106,17 @@ def test_validate_rejects_inconsistencies():
         dataclasses.replace(RunConfig(), sa_search_points=(512, 255, 128)).validate()
     with pytest.raises(ValueError, match="lam"):
         dataclasses.replace(RunConfig(), lam=-0.5).validate()
+
+
+@pytest.mark.parametrize("name", ["ras", "hybrid"])
+def test_relation_samplers_rejected_for_template_branch(name):
+    """The template branch has no template features to score against."""
+    with pytest.raises(ValueError, match="template_sampler"):
+        RunConfig(template_sampler=name).validate()
+    with pytest.raises(ValueError, match="template_sampler"):
+        BackboneSpec(template_sampler=name)
+    with pytest.raises(ValueError, match="template_sampler"):
+        apply_overrides(RunConfig(), [f"template_sampler={name}"])
 
 
 def test_odd_counts_fine_for_non_hybrid_sampler():

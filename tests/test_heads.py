@@ -16,6 +16,8 @@ from pctrack.heads import (
 )
 from pctrack.numeric import Param, grad_check
 
+from helpers import reference_local_pool_backward, reference_local_pool_forward
+
 
 SMALL_SPEC = HeadSpec(channels=6, coarse_hidden=(8, 8), refine_hidden=(10, 8, 8, 6))
 
@@ -183,6 +185,30 @@ def test_local_pool_grad_check():
         return float((w_loss * pooled).sum())
 
     assert grad_check(fn, [feats]) < 1e-6
+
+
+def test_local_pool_matches_argmax_reference_bitwise():
+    """Value pooling plus winner recovery equal argmax pooling bit for bit in
+    float32: padded neighborhoods, exact ties between distinct points, a
+    channel <= 0 everywhere and an empty neighborhood."""
+    rng = np.random.default_rng(40)
+    coords = rng.uniform(-1, 1, size=(20, 3)).astype(np.float32)
+    feats = rng.normal(size=(20, 5)).astype(np.float32)
+    feats[:, 0] = -1.0 - np.abs(feats[:, 0])
+    # Three nearby points share the top value of channels 1..4.
+    coords[[7, 11]] = coords[3] + np.float32(0.05)
+    feats[[3, 7, 11], 1:] = feats[:, 1:].max(axis=0) + 1.0
+    queries = rng.uniform(-1.2, 1.2, size=(12, 3)).astype(np.float32)
+    queries[-1] = [30.0, 0.0, 0.0]
+    d_pooled = rng.normal(size=(12, 5)).astype(np.float32)
+
+    pooled, cache, _ = local_pool_forward(queries, coords, feats, radius=0.7)
+    ref, ref_cache = reference_local_pool_forward(queries, coords, feats, 0.7)
+    assert pooled.dtype == np.float32
+    np.testing.assert_array_equal(pooled, ref)
+    d_feats = local_pool_backward(d_pooled, cache)
+    assert d_feats.dtype == np.float32
+    np.testing.assert_array_equal(d_feats, reference_local_pool_backward(d_pooled, ref_cache))
 
 
 def test_local_pool_rejects_bad_radius():
