@@ -64,6 +64,10 @@ class SALevelSpec:
             raise ValueError("radius must be positive")
         if not self.mlp_dims:
             raise ValueError("mlp_dims must name at least one width")
+        if self.max_neighbors < 1:
+            raise ValueError("max_neighbors must be >= 1")
+        if self.out_template < 1 or self.out_search < 1:
+            raise ValueError("per-level point counts must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -217,17 +217,15 @@ def cmd_eval(args) -> int:
         raise ValueError("eval needs exactly one of --ckpt or --oracle")
     cfg = _resolve_config(args)
     tracklets = load_dataset(args.data)
+    model = builder = None
     if args.oracle:
-        model = None
-
         def builder(i, tr):
             return OracleModel([box for _, box in tr.frames])
-
-        report = evaluate(tracklets, model, seed=cfg.seed, threads=args.threads,
-                          model_builder=builder)
     else:
         model = _load_model(cfg, args.ckpt)
-        report = evaluate(tracklets, model, seed=cfg.seed, threads=args.threads)
+    report = evaluate(tracklets, model, seed=cfg.seed, threads=args.threads,
+                      model_builder=builder, extend_ratio=cfg.template_extend_ratio,
+                      margin_m=cfg.search_margin_m)
 
     rows = [*sorted(report.per_class), "average"]
     print(f"{'class':<12} {'success':>8} {'precision':>10} {'frames':>7}")

@@ -51,6 +51,10 @@ class RunConfig:
         if not (len(self.sa_radii) == len(self.sa_template_points)
                 == len(self.sa_search_points) == len(self.sa_channels)):
             raise ValueError("per-level model lists must have equal lengths")
+        if self.sa_max_neighbors < 1:
+            raise ValueError("sa_max_neighbors must be >= 1")
+        if min(self.sa_template_points + self.sa_search_points, default=1) < 1:
+            raise ValueError("sa_template_points and sa_search_points must be >= 1")
         if self.template_sampler not in SAMPLER_NAMES:
             raise ValueError(f"unknown template_sampler {self.template_sampler!r}")
         check_template_sampler(self.template_sampler)

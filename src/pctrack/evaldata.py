@@ -246,11 +246,13 @@ class EvalReport:
                 "failures": self.failures}
 
 
-def _eval_one(tracklet: Tracklet, model, seed: int, index: int):
+def _eval_one(tracklet: Tracklet, model, seed: int, index: int,
+              extend_ratio: float, margin_m: float):
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
     frames = [cloud for cloud, _ in tracklet.frames]
     gt = [box for _, box in tracklet.frames]
-    boxes, _flags = track_sequence(frames, gt[0], model, rng)
+    boxes, _flags = track_sequence(frames, gt[0], model, rng,
+                                   extend_ratio=extend_ratio, margin_m=margin_m)
     ious = [box_iou_3d(p, g) for p, g in zip(boxes[1:], gt[1:])]
     dists = [float(np.linalg.norm(p.center - g.center))
              for p, g in zip(boxes[1:], gt[1:])]
@@ -258,13 +260,16 @@ def _eval_one(tracklet: Tracklet, model, seed: int, index: int):
 
 
 def evaluate(tracklets, model, seed: int = 0, threads: int = 1,
-             model_builder=None) -> EvalReport:
+             model_builder=None, extend_ratio: float = 0.1,
+             margin_m: float = 2.0) -> EvalReport:
     """Run the tracker over every tracklet and aggregate Success/Precision.
 
     The first frame of each tracklet is initialization, not a prediction,
     so it contributes no metric sample. Tracklets that raise are reported
     as failures and the rest still count. ``model_builder(i, tracklet)``,
     when given, supplies a per-tracklet model instead of the shared one.
+    ``extend_ratio`` and ``margin_m`` set the template and search crops as
+    in ``track_sequence``.
     """
     if not tracklets:
         raise ValueError("evaluate needs at least one tracklet")
@@ -273,7 +278,7 @@ def evaluate(tracklets, model, seed: int = 0, threads: int = 1,
 
     def run(i):
         m = model if model_builder is None else model_builder(i, tracklets[i])
-        return _eval_one(tracklets[i], m, seed, i)
+        return _eval_one(tracklets[i], m, seed, i, extend_ratio, margin_m)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -262,27 +262,36 @@ def box_iou_3d(a: Box3D, b: Box3D) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Fixed-radius neighbor queries (brute force; desk scale keeps N small).
+# Pairwise squared distances and fixed-radius neighbor queries.
 # ---------------------------------------------------------------------------
 
+# Bytes of float64 per row block of the distance stages: small enough that a
+# block and its scratch buffer stay in cache between the passes over it.
+_BLOCK_BYTES = 1 << 20
 
-def ball_query(queries, cloud, radius: float, max_k: int) -> list[np.ndarray]:
-    """Per-query indices of up to max_k cloud points within ``radius``.
 
-    Indices are returned in ascending order; when more than max_k points
-    qualify the lowest-index ones win. Empty neighborhoods yield empty lists.
+def sq_dist_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield ``(lo, hi, d2)``: squared distances of rows ``a[lo:hi]`` to all of ``b``.
+
+    Uses the norms expansion ``|a|² + |b|² - 2·a·bᵀ``. The product is one
+    GEMM over the whole matrix, because a GEMM split into row blocks rounds
+    differently in the last bits; the expansion then runs block by block.
+    ``d2`` is a reused buffer, valid only until the next block is drawn.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if max_k < 1:
-        raise ValueError("max_k must be >= 1")
-    q = _as_xyz(queries)
-    c = _as_xyz(cloud)
-    if c.shape[0] == 0 or q.shape[0] == 0:
-        return [np.zeros(0, dtype=np.int64) for _ in range(q.shape[0])]
-    d2 = np.sum((q[:, None, :] - c[None, :, :]) ** 2, axis=2)
-    mask = d2 <= radius * radius
-    return [np.flatnonzero(row)[:max_k] for row in mask]
+    aa = np.sum(a * a, axis=1)
+    bb = np.sum(b * b, axis=1)
+    g = a @ b.T
+    m, n = g.shape
+    rows = min(m, max(1, _BLOCK_BYTES // (8 * max(n, 1))))
+    buf = np.empty((rows, n))
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        d2 = buf[: hi - lo]
+        np.add(aa[lo:hi, None], bb[None, :], out=d2)
+        gb = g[lo:hi]
+        gb *= 2.0
+        d2 -= gb
+        yield lo, hi, d2
 
 
 def ball_query_padded(
@@ -292,38 +301,38 @@ def ball_query_padded(
     max_k: int,
     fill_idx: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ball query returning a dense (M, max_k) index matrix.
+    """Vectorized ball query returning a dense (M, min(max_k, N)) index matrix.
 
-    Rows are ascending in-radius indices; short rows are padded by repeating
-    the row's first neighbor so downstream max-pools are unaffected. Rows
-    with no neighbors at all are padded with ``fill_idx`` (per query) when
-    given, else index 0; ``counts`` records the true neighborhood sizes.
+    Rows are ascending in-radius indices, the lowest max_k when more
+    qualify; short rows are padded by repeating the row's first neighbor so
+    downstream max-pools are unaffected. Rows with no neighbors at all are
+    padded with ``fill_idx`` (per query) when given, else index 0;
+    ``counts`` records the neighborhood sizes, capped at max_k.
     """
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    if max_k < 1:
+        raise ValueError("max_k must be >= 1")
     q = np.asarray(queries_xyz, dtype=np.float64)
     c = np.asarray(cloud_xyz, dtype=np.float64)
     m, n = q.shape[0], c.shape[0]
     if n == 0:
         raise ValueError("cloud must be non-empty")
-    # Norms expansion instead of an (M, N, 3) broadcast: one BLAS call and a
-    # fraction of the memory traffic.
-    d2 = (np.sum(q * q, axis=1)[:, None] + np.sum(c * c, axis=1)[None, :]
-          - 2.0 * (q @ c.T))
-    mask = d2 <= radius * radius
-    counts = np.minimum(mask.sum(axis=1), max_k)
-    # Column indices keyed so in-radius ones come first (ascending), sentinel
-    # n after; partitioning beats a full row sort when max_k is small.
-    keyed = np.where(mask, np.arange(n, dtype=np.int64)[None, :], n)
-    if max_k < n:
-        idx = np.sort(np.partition(keyed, max_k - 1, axis=1)[:, :max_k], axis=1)
-    else:
-        idx = np.sort(keyed, axis=1)[:, :max_k]
-    invalid = idx >= n
-    first = idx[:, 0].copy()
-    empty = first >= n
-    if empty.any():
-        if fill_idx is not None:
-            first[empty] = np.asarray(fill_idx, dtype=np.int64)[empty]
-        else:
-            first[empty] = 0
-    idx = np.where(invalid, first[:, None], idx)
-    return idx, counts
+    r2 = radius * radius
+    mask = np.empty((m, n), dtype=bool)
+    for lo, hi, d2 in sq_dist_blocks(q, c):
+        np.less_equal(d2, r2, out=mask[lo:hi])
+    # nonzero walks the mask row by row, so each row's hits come out in
+    # ascending column order; a hit's rank is its offset from the row start.
+    rows, cols = np.nonzero(mask)
+    hits = np.bincount(rows, minlength=m)
+    starts = np.cumsum(hits) - hits
+    rank = np.arange(rows.shape[0]) - starts[rows]
+    keep = rank < max_k
+    first = np.zeros(m, dtype=np.int64) if fill_idx is None else \
+        np.array(fill_idx, dtype=np.int64)
+    found = hits > 0
+    first[found] = cols[starts[found]]
+    idx = np.repeat(first[:, None], min(max_k, n), axis=1)
+    idx[rows[keep], rank[keep]] = cols[keep]
+    return idx, np.minimum(hits, max_k)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import sq_dist_blocks
+
 
 @dataclass(frozen=True)
 class SampleSelection:
@@ -47,7 +49,7 @@ def sample_random(n: int, k: int, rng: np.random.Generator) -> SampleSelection:
 
 
 def _greedy_farthest(points: np.ndarray, k: int, start_index: int, method: str) -> SampleSelection:
-    n = points.shape[0]
+    n, width = points.shape
     if n < 1:
         raise ValueError("need at least one point")
     if not 0 <= start_index < n:
@@ -55,13 +57,39 @@ def _greedy_farthest(points: np.ndarray, k: int, start_index: int, method: str) 
     take = min(k, n)
     chosen = np.empty(take, dtype=np.int64)
     chosen[0] = start_index
-    min_d2 = np.sum((points - points[start_index]) ** 2, axis=1)
+    row = np.empty(n)
+    if width < 8:
+        # np.sum adds fewer than 8 columns left to right; summing contiguous
+        # columns in that order gives the same bits without the (n, width)
+        # temporaries. From 8 columns on NumPy sums pairwise, so wide inputs
+        # keep the row reduction on a reused buffer.
+        cols = np.ascontiguousarray(points.T)
+        diff = np.empty(n)
+
+        def sq_dist_to(p):
+            np.subtract(cols[0], p[0], out=row)
+            np.multiply(row, row, out=row)
+            for j in range(1, width):
+                np.subtract(cols[j], p[j], out=diff)
+                np.multiply(diff, diff, out=diff)
+                np.add(row, diff, out=row)
+    else:
+        diff = np.empty_like(points)
+
+        def sq_dist_to(p):
+            np.subtract(points, p, out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.sum(diff, axis=1, out=row)
+
+    sq_dist_to(points[start_index])
+    min_d2 = row.copy()
     min_d2[start_index] = -1.0  # already selected; never a candidate again
     for i in range(1, take):
         # argmax returns the first maximum, which is the lowest-index tie.
         nxt = int(np.argmax(min_d2))
         chosen[i] = nxt
-        np.minimum(min_d2, np.sum((points - points[nxt]) ** 2, axis=1), out=min_d2)
+        sq_dist_to(points[nxt])
+        np.minimum(min_d2, row, out=min_d2)
         min_d2[nxt] = -1.0
     if k <= n:
         return SampleSelection(chosen, method)
@@ -81,7 +109,8 @@ def sample_ffps(features: np.ndarray, k: int, start_index: int = 0) -> SampleSel
 def ras_scores(search_feats: np.ndarray, template_feats: np.ndarray) -> np.ndarray:
     """Per-search-point distance to the nearest template feature row.
 
-    Builds the full pairwise L2 matrix and takes the row-wise minimum.
+    Takes the row-wise minimum of the squared distances block by block and
+    clamps round-off below zero once, after the minimum.
     """
     s = np.asarray(search_feats, dtype=np.float64)
     t = np.asarray(template_feats, dtype=np.float64)
@@ -89,9 +118,11 @@ def ras_scores(search_feats: np.ndarray, template_feats: np.ndarray) -> np.ndarr
         raise ValueError("template feature set is empty")
     if s.shape[1] != t.shape[1]:
         raise ValueError(f"feature widths differ: {s.shape[1]} vs {t.shape[1]}")
-    d2 = np.sum(s * s, axis=1)[:, None] + np.sum(t * t, axis=1)[None, :] - 2.0 * (s @ t.T)
-    np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2.min(axis=1))
+    v = np.empty(s.shape[0])
+    for lo, hi, d2 in sq_dist_blocks(s, t):
+        d2.min(axis=1, out=v[lo:hi])
+    np.maximum(v, 0.0, out=v)
+    return np.sqrt(v, out=v)
 
 
 def sample_ras(search_feats: np.ndarray, template_feats: np.ndarray, k: int) -> SampleSelection:

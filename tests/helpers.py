@@ -169,3 +169,56 @@ def reference_local_pool_backward(d_pooled, cache):
     winner = np.take_along_axis(idx, arg, axis=1)
     np.add.at(d_feats, (winner.reshape(-1), np.tile(np.arange(c), m)), d_eff.reshape(-1))
     return d_feats
+
+
+# Full-matrix distance stages as they were before the row-blocked versions;
+# the product must reproduce them bit for bit.
+
+
+def reference_ras_scores(search_feats, template_feats):
+    s = np.asarray(search_feats, dtype=np.float64)
+    t = np.asarray(template_feats, dtype=np.float64)
+    d2 = np.sum(s * s, axis=1)[:, None] + np.sum(t * t, axis=1)[None, :] - 2.0 * (s @ t.T)
+    np.maximum(d2, 0.0, out=d2)
+    return np.sqrt(d2.min(axis=1))
+
+
+def reference_ball_query_padded(queries_xyz, cloud_xyz, radius, max_k, fill_idx=None):
+    q = np.asarray(queries_xyz, dtype=np.float64)
+    c = np.asarray(cloud_xyz, dtype=np.float64)
+    n = c.shape[0]
+    d2 = (np.sum(q * q, axis=1)[:, None] + np.sum(c * c, axis=1)[None, :]
+          - 2.0 * (q @ c.T))
+    mask = d2 <= radius * radius
+    counts = np.minimum(mask.sum(axis=1), max_k)
+    keyed = np.where(mask, np.arange(n, dtype=np.int64)[None, :], n)
+    if max_k < n:
+        idx = np.sort(np.partition(keyed, max_k - 1, axis=1)[:, :max_k], axis=1)
+    else:
+        idx = np.sort(keyed, axis=1)[:, :max_k]
+    invalid = idx >= n
+    first = idx[:, 0].copy()
+    empty = first >= n
+    if empty.any():
+        if fill_idx is not None:
+            first[empty] = np.asarray(fill_idx, dtype=np.int64)[empty]
+        else:
+            first[empty] = 0
+    idx = np.where(invalid, first[:, None], idx)
+    return idx, counts
+
+
+def reference_greedy_farthest(points, k, start_index=0):
+    """Greedy farthest-point indices (without round-robin padding)."""
+    points = np.asarray(points, dtype=np.float64)
+    take = min(k, points.shape[0])
+    chosen = np.empty(take, dtype=np.int64)
+    chosen[0] = start_index
+    min_d2 = np.sum((points - points[start_index]) ** 2, axis=1)
+    min_d2[start_index] = -1.0
+    for i in range(1, take):
+        nxt = int(np.argmax(min_d2))
+        chosen[i] = nxt
+        np.minimum(min_d2, np.sum((points - points[nxt]) ** 2, axis=1), out=min_d2)
+        min_d2[nxt] = -1.0
+    return chosen

@@ -51,6 +51,23 @@ def small_dataset(tmp_path_factory):
     return path
 
 
+def test_eval_passes_configured_crops(small_dataset, monkeypatch, capsys):
+    import pctrack.cli
+
+    seen = {}
+    real = pctrack.cli.evaluate
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pctrack.cli, "evaluate", spy)
+    rc = main(["eval", "--data", str(small_dataset), "--oracle",
+               "--set", "search_margin_m=0.75", "--set", "template_extend_ratio=0.3"])
+    assert rc == 0
+    assert seen["margin_m"] == 0.75 and seen["extend_ratio"] == 0.3
+
+
 def test_train_zero_epochs_writes_init_checkpoint(small_dataset, tmp_path, capsys):
     out = tmp_path / "run"
     rc = main(["train", "--data", str(small_dataset), "--out", str(out),
@@ -193,6 +210,14 @@ def test_template_relation_sampler_is_validation_error(name, capsys):
                "--template", "32", "--search", "64", "--repeats", "1", "--warmup", "0"])
     assert rc == 1
     assert "template_sampler" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", ["sa_max_neighbors=0", "sa_search_points=0,16"])
+def test_counts_below_one_are_validation_errors(override, capsys):
+    rc = main(["bench", "--profile", "tiny", "--set", override,
+               "--template", "32", "--search", "64", "--repeats", "1", "--warmup", "0"])
+    assert rc == 1
+    assert override.split("=")[0] in capsys.readouterr().err
 
 
 def test_ablation_flag_changes_model(small_dataset, tmp_path):

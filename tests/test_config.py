@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pctrack.backbone import BackboneSpec
+from pctrack.backbone import BackboneSpec, SALevelSpec
 from pctrack.config import (
     PROFILES,
     RunConfig,
@@ -106,6 +106,25 @@ def test_validate_rejects_inconsistencies():
         dataclasses.replace(RunConfig(), sa_search_points=(512, 255, 128)).validate()
     with pytest.raises(ValueError, match="lam"):
         dataclasses.replace(RunConfig(), lam=-0.5).validate()
+
+
+@pytest.mark.parametrize("override,message", [
+    ("sa_max_neighbors=0", "sa_max_neighbors"),
+    ("sa_search_points=0,16", "sa_search_points"),
+    ("sa_template_points=16,-1", "sa_template_points"),
+])
+def test_counts_below_one_rejected(override, message):
+    """These used to validate and then fail in the first forward pass."""
+    with pytest.raises(ValueError, match=message):
+        apply_overrides(config_for_profile("tiny"), [override])
+
+
+@pytest.mark.parametrize("field", ["max_neighbors", "out_template", "out_search"])
+def test_sa_level_spec_rejects_counts_below_one(field):
+    kw = dict(radius=0.3, out_template=8, out_search=16, mlp_dims=(8,), max_neighbors=4)
+    SALevelSpec(**kw)
+    with pytest.raises(ValueError, match=">= 1"):
+        SALevelSpec(**{**kw, field: 0})
 
 
 @pytest.mark.parametrize("name", ["ras", "hybrid"])

@@ -284,6 +284,34 @@ def test_threaded_evaluation_matches_serial():
     assert serial.to_dict() == threaded.to_dict()
 
 
+class CropRecorder(OracleModel):
+    """Oracle that records the size of every search crop it is handed."""
+
+    def __init__(self, gt_boxes):
+        super().__init__(gt_boxes)
+        self.search_sizes = []
+
+    def predict_canonical(self, template_xyz, search_xyz, ref_box, frame_index, rng):
+        self.search_sizes.append(search_xyz.shape[0])
+        return super().predict_canonical(template_xyz, search_xyz, ref_box,
+                                         frame_index, rng)
+
+
+def test_evaluate_honours_search_margin():
+    tr = synth_tracklet(SynthSpec(n_frames=5, velocity=(0.4, 0.1, 0.0)), seed=6)
+    gt = [b for _, b in tr.frames]
+    sizes = {}
+    for margin in (2.0, 0.3):
+        model = CropRecorder(gt)
+        evaluate([tr], model, seed=0, margin_m=margin)
+        sizes[margin] = model.search_sizes
+    default = CropRecorder(gt)
+    evaluate([tr], default, seed=0)
+    assert default.search_sizes == sizes[2.0]
+    assert len(sizes[0.3]) == len(sizes[2.0]) == 4
+    assert all(a < b for a, b in zip(sizes[0.3], sizes[2.0]))
+
+
 def test_report_serializes():
     tr = _static_tracklet("car", 1, "c0")
     report = evaluate([tr], StayPutModel(), seed=0)

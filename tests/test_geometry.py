@@ -6,7 +6,6 @@ import pytest
 from pctrack.geometry import (
     Box3D,
     PointCloud,
-    ball_query,
     ball_query_padded,
     box_from_frame,
     box_iou_3d,
@@ -16,10 +15,11 @@ from pctrack.geometry import (
     enlarge_box,
     from_box_frame,
     points_in_box,
+    sq_dist_blocks,
     to_box_frame,
     wrap_angle,
 )
-from helpers import brute_ball_query, mc_box_iou, random_box
+from helpers import brute_ball_query, mc_box_iou, random_box, reference_ball_query_padded
 
 
 def unit_box(**kw):
@@ -285,26 +285,30 @@ def test_iou_matches_monte_carlo():
 
 def test_ball_query_self_hit():
     cloud = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float)
-    out = ball_query(cloud[1:2], cloud, radius=0.1, max_k=4)
-    np.testing.assert_array_equal(out[0], [1])
+    idx, counts = ball_query_padded(cloud[1:2], cloud, radius=0.1, max_k=4)
+    assert counts.tolist() == [1]
+    np.testing.assert_array_equal(idx[0], [1, 1, 1])
 
 
 def test_ball_query_empty_neighborhood():
     cloud = np.array([[0, 0, 0], [1, 0, 0]], dtype=float)
-    out = ball_query(np.array([[0.5, 10.0, 0.0]]), cloud, radius=0.4, max_k=4)
-    assert out[0].size == 0
+    idx, counts = ball_query_padded(np.array([[0.5, 10.0, 0.0]]), cloud, radius=0.4, max_k=4)
+    assert counts.tolist() == [0]
+    np.testing.assert_array_equal(idx[0], [0, 0])  # no fill: index 0
 
 
 def test_ball_query_line_fixture():
     cloud = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]], dtype=float)
-    out = ball_query(np.array([[1.4, 0, 0]]), cloud, radius=1.0, max_k=8)
-    np.testing.assert_array_equal(out[0], [1, 2])
+    idx, counts = ball_query_padded(np.array([[1.4, 0, 0]]), cloud, radius=1.0, max_k=8)
+    assert counts.tolist() == [2]
+    np.testing.assert_array_equal(idx[0], [1, 2, 1, 1])
 
 
 def test_ball_query_caps_at_max_k():
     cloud = np.zeros((10, 3))
-    out = ball_query(np.array([[0.0, 0.0, 0.0]]), cloud, radius=1.0, max_k=3)
-    np.testing.assert_array_equal(out[0], [0, 1, 2])
+    idx, counts = ball_query_padded(np.array([[0.0, 0.0, 0.0]]), cloud, radius=1.0, max_k=3)
+    assert counts.tolist() == [3]
+    np.testing.assert_array_equal(idx[0], [0, 1, 2])
 
 
 def test_ball_query_matches_brute_force():
@@ -313,24 +317,14 @@ def test_ball_query_matches_brute_force():
         cloud = rng.uniform(-2, 2, size=(rng.integers(1, 60), 3))
         queries = rng.uniform(-2, 2, size=(8, 3))
         radius = float(rng.uniform(0.3, 1.5))
-        got = ball_query(queries, cloud, radius, max_k=16)
+        idx, counts = ball_query_padded(queries, cloud, radius, max_k=16)
         want = brute_ball_query(queries, cloud, radius, max_k=16)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
-
-
-def test_ball_query_padded_agrees_with_ragged():
-    rng = np.random.default_rng(78)
-    cloud = rng.uniform(-1, 1, size=(30, 3))
-    queries = rng.uniform(-1, 1, size=(6, 3))
-    idx, counts = ball_query_padded(queries, cloud, radius=0.6, max_k=8)
-    ragged = ball_query(queries, cloud, radius=0.6, max_k=8)
-    assert idx.shape == (6, 8)
-    for row, cnt, ref in zip(idx, counts, ragged):
-        assert cnt == len(ref)
-        np.testing.assert_array_equal(row[:cnt], ref)
-        if cnt:  # padding repeats the first neighbor
-            assert (row[cnt:] == row[0]).all()
+        assert idx.shape == (8, min(16, len(cloud)))
+        for row, cnt, ref in zip(idx, counts, want):
+            assert cnt == len(ref)
+            np.testing.assert_array_equal(row[:cnt], ref)
+            if cnt:  # padding repeats the first neighbor
+                assert (row[cnt:] == row[0]).all()
 
 
 def test_ball_query_padded_empty_rows_use_fill():
@@ -343,10 +337,60 @@ def test_ball_query_padded_empty_rows_use_fill():
 
 def test_ball_query_rejects_bad_args():
     cloud = np.zeros((2, 3))
-    with pytest.raises(ValueError):
-        ball_query(cloud, cloud, radius=0.0, max_k=1)
-    with pytest.raises(ValueError):
-        ball_query(cloud, cloud, radius=1.0, max_k=0)
+    with pytest.raises(ValueError, match="radius"):
+        ball_query_padded(cloud, cloud, radius=0.0, max_k=1)
+    with pytest.raises(ValueError, match="max_k"):
+        ball_query_padded(cloud, cloud, radius=1.0, max_k=0)
+    with pytest.raises(ValueError, match="non-empty"):
+        ball_query_padded(cloud, np.zeros((0, 3)), radius=1.0, max_k=1)
+
+
+def _assert_same_ball_query(queries, cloud, radius, max_k, fill_idx=None):
+    got = ball_query_padded(queries, cloud, radius, max_k, fill_idx)
+    want = reference_ball_query_padded(queries, cloud, radius, max_k, fill_idx)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("max_k", [1, 32, 600, 1000])
+def test_ball_query_matches_full_matrix_reference_across_blocks(max_k):
+    """3000 queries span many row blocks; max_k >= N is the refine-pooling call."""
+    rng = np.random.default_rng(79)
+    cloud = rng.uniform(-2, 2, size=(600, 3))
+    queries = rng.uniform(-2.5, 2.5, size=(3000, 3))
+    fill = rng.integers(0, 600, size=3000)
+    _assert_same_ball_query(queries, cloud, 0.4, max_k)
+    _assert_same_ball_query(queries, cloud, 0.4, max_k, fill_idx=fill)
+
+
+def test_ball_query_matches_reference_at_radius_ties_and_empty_rows():
+    # Lattice points exactly 1.0 apart sit on the radius; duplicates tie;
+    # the far query has no neighbor at all.
+    lattice = np.stack(np.meshgrid(*[np.arange(4.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    cloud = np.vstack([lattice, lattice[::3]])
+    queries = np.vstack([lattice, [[40.0, 0.0, 0.0]]])
+    fill = np.arange(queries.shape[0]) % cloud.shape[0]
+    for max_k in (1, 4, 7, cloud.shape[0]):
+        _assert_same_ball_query(queries, cloud, 1.0, max_k)
+        _assert_same_ball_query(queries, cloud, 1.0, max_k, fill_idx=fill)
+    idx, counts = ball_query_padded(queries, cloud, 1.0, 8, fill_idx=fill)
+    assert counts[-1] == 0 and (idx[-1] == fill[-1]).all()
+
+
+def test_sq_dist_blocks_cover_every_row_once():
+    # At this shape a GEMM split into the row blocks rounds differently.
+    rng = np.random.default_rng(80)
+    a = rng.normal(size=(3000, 3))
+    b = rng.normal(size=(700, 3))
+    full = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
+    spans = []
+    for lo, hi, d2 in sq_dist_blocks(a, b):
+        np.testing.assert_array_equal(d2, full[lo:hi])
+        spans.append((lo, hi))
+    assert len(spans) > 1
+    assert spans[0][0] == 0 and spans[-1][1] == 3000
+    assert all(h == l for (_, h), (l, _) in zip(spans, spans[1:]))
 
 
 # ---------------------------------------------------------------- distortion

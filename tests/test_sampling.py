@@ -12,7 +12,13 @@ from pctrack.sampling import (
     sample_random,
     sample_ras,
 )
-from helpers import foreground_fixture, greedy_fps_oracle, ras_sort_oracle
+from helpers import (
+    foreground_fixture,
+    greedy_fps_oracle,
+    ras_sort_oracle,
+    reference_greedy_farthest,
+    reference_ras_scores,
+)
 
 
 # ---------------------------------------------------------------- random
@@ -112,6 +118,23 @@ def test_ffps_one_hot_features_all_distinct_first():
     assert sorted(order[:5]) == [0, 1, 2, 3, 4]
 
 
+@pytest.mark.parametrize("sampler,width", [(sample_dfps, 3), (sample_ffps, 6), (sample_ffps, 32)])
+def test_fps_matches_full_array_reference_bitwise(sampler, width):
+    """Below 8 columns the distances are summed column by column, from 8 on
+    by NumPy's row reduction; both must pick what the old loop picked."""
+    # Lattice points scaled by 0.1 have many distances that are equal in
+    # exact arithmetic and differ only by rounding, so any other summation
+    # order picks other points.
+    rng = np.random.default_rng(width)
+    pts = rng.integers(-20, 21, size=(3000, width)) * 0.1
+    pts[1::5] = pts[::5]  # duplicates tie exactly
+    got = sampler(pts, 600, start_index=17)
+    np.testing.assert_array_equal(got.indices, reference_greedy_farthest(pts, 600, 17))
+    fortran = np.asfortranarray(pts[:400])
+    np.testing.assert_array_equal(sampler(fortran, 150).indices,
+                                  reference_greedy_farthest(fortran, 150))
+
+
 def test_fps_start_index_validation():
     pts = np.zeros((3, 3))
     with pytest.raises(ValueError):
@@ -154,6 +177,17 @@ def test_ras_scores_rejects_empty_template():
 def test_ras_scores_rejects_width_mismatch():
     with pytest.raises(ValueError):
         ras_scores(np.zeros((3, 2)), np.zeros((4, 3)))
+
+
+def test_ras_scores_match_full_matrix_reference_across_blocks():
+    rng = np.random.default_rng(71)
+    template = rng.normal(size=(700, 64))
+    search = rng.normal(size=(3000, 64))
+    search[::7] = template[rng.integers(0, 700, size=search[::7].shape[0])]  # zero scores
+    search[1::7] = search[::7]  # duplicate search rows tie
+    v = ras_scores(search, template)
+    np.testing.assert_array_equal(v, reference_ras_scores(search, template))
+    np.testing.assert_array_equal(v[::7], v[1::7])
 
 
 # ---------------------------------------------------------------- RAS selection
