@@ -193,17 +193,17 @@ def cmd_track(args) -> int:
     rng = np.random.default_rng(cfg.seed)
     frames = [cloud for cloud, _ in tracklet.frames]
     gt = [box for _, box in tracklet.frames]
-    boxes, flags = track_sequence(frames, gt[0], model, rng,
-                                  extend_ratio=cfg.template_extend_ratio,
-                                  margin_m=cfg.search_margin_m)
+    boxes, reasons = track_sequence(frames, gt[0], model, rng,
+                                    extend_ratio=cfg.template_extend_ratio,
+                                    margin_m=cfg.search_margin_m)
     out = _out_dir(args)
     path = out / "boxes.csv"
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["frame", "x", "y", "z", "length", "width", "height",
-                    "yaw", "empty_search"])
-        for i, (b, flag) in enumerate(zip(boxes, flags)):
-            w.writerow([i, *b.as_array7().tolist(), int(flag)])
+                    "yaw", "held_reason"])
+        for i, (b, reason) in enumerate(zip(boxes, reasons)):
+            w.writerow([i, *b.as_array7().tolist(), reason or ""])
     ious = [box_iou_3d(p, g) for p, g in zip(boxes[1:], gt[1:])]
     if ious:
         print(f"tracked {tracklet.object_id}: mean IoU {float(np.mean(ious)):.3f} "
@@ -462,9 +462,11 @@ def oracle_suite() -> list[CheckResult]:
     ious = rng.uniform(0, 1, size=100)
     from .evaldata import precision_metric, success_metric
     s = success_metric(ious)
+    thresholds = np.linspace(0.0, 1.0, 1001)
+    curve = (ious[None, :] >= thresholds[:, None]).mean(axis=1)
+    auc = float(np.trapezoid(curve, thresholds)) * 100.0
     results.append(CheckResult("success-metric-identity",
-                               f"{s:.3f} vs mean {ious.mean() * 100:.3f}",
-                               abs(s - float(ious.mean()) * 100.0) < 0.1))
+                               f"mean {s:.3f} vs AUC {auc:.3f}", abs(s - auc) < 0.1))
     p = precision_metric(np.ones(10))
     results.append(CheckResult("precision-metric-step",
                                f"all-1m errors -> {p:.3f}", abs(p - 50.0) < 0.5))
@@ -517,14 +519,11 @@ def cmd_bench(args) -> int:
     for _ in range(args.warmup):
         model.forward(coords_t, coords_s, np.random.default_rng(0))
 
-    total_ms, backbone_ms = [], []
+    total_ms = []
     for _ in range(args.repeats):
         t0 = time.perf_counter()
         model.forward(coords_t, coords_s, np.random.default_rng(0))
         total_ms.append((time.perf_counter() - t0) * 1e3)
-        t0 = time.perf_counter()
-        model.backbone.forward(coords_t, coords_s, np.random.default_rng(0))
-        backbone_ms.append((time.perf_counter() - t0) * 1e3)
 
     stats = {
         "template": args.template,
@@ -532,18 +531,12 @@ def cmd_bench(args) -> int:
         "repeats": args.repeats,
         "total_ms_min": float(np.min(total_ms)),
         "total_ms_mean": float(np.mean(total_ms)),
-        "backbone_ms_min": float(np.min(backbone_ms)),
-        "backbone_ms_mean": float(np.mean(backbone_ms)),
-        "match_and_heads_ms_est": float(np.mean(total_ms) - np.mean(backbone_ms)),
     }
     if args.json:
         print(json.dumps(stats, indent=1, sort_keys=True))
     else:
         print(f"forward pass at template {args.template} / search {args.search} "
               f"({args.repeats} repeats)")
-        print(f"  backbone        min {stats['backbone_ms_min']:8.2f} ms   "
-              f"mean {stats['backbone_ms_mean']:8.2f} ms")
-        print(f"  match + heads   est  {stats['match_and_heads_ms_est']:8.2f} ms")
         print(f"  total           min {stats['total_ms_min']:8.2f} ms   "
               f"mean {stats['total_ms_mean']:8.2f} ms")
     return 0

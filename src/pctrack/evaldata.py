@@ -44,20 +44,13 @@ class Tracklet:
 def success_metric(ious) -> float:
     """Mean overlap on a 0-100 scale.
 
-    Computed two ways — the area under the overlap-threshold curve and the
-    plain mean — and cross-asserted, since both definitions circulate.
+    This equals the area under the overlap-threshold curve, the other form
+    in circulation, up to the curve's discretisation.
     """
     ious = np.asarray(ious, dtype=np.float64)
     if ious.size == 0:
         raise ValueError("success_metric needs at least one value")
-    mean_form = float(ious.mean()) * 100.0
-    thresholds = np.linspace(0.0, 1.0, 1001)
-    curve = (ious[None, :] >= thresholds[:, None]).mean(axis=1)
-    auc_form = float(np.trapezoid(curve, thresholds)) * 100.0
-    if abs(mean_form - auc_form) > 0.1:
-        raise AssertionError(
-            f"success metric forms disagree: mean {mean_form:.4f} vs AUC {auc_form:.4f}")
-    return mean_form
+    return float(ious.mean()) * 100.0
 
 
 def precision_metric(dists_m) -> float:
@@ -251,8 +244,8 @@ def _eval_one(tracklet: Tracklet, model, seed: int, index: int,
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
     frames = [cloud for cloud, _ in tracklet.frames]
     gt = [box for _, box in tracklet.frames]
-    boxes, _flags = track_sequence(frames, gt[0], model, rng,
-                                   extend_ratio=extend_ratio, margin_m=margin_m)
+    boxes, _reasons = track_sequence(frames, gt[0], model, rng,
+                                     extend_ratio=extend_ratio, margin_m=margin_m)
     ious = [box_iou_3d(p, g) for p, g in zip(boxes[1:], gt[1:])]
     dists = [float(np.linalg.norm(p.center - g.center))
              for p, g in zip(boxes[1:], gt[1:])]

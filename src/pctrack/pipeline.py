@@ -241,16 +241,17 @@ class OracleModel:
 
 def track_sequence(frames, init_box: Box3D, model, rng: np.random.Generator,
                    extend_ratio: float = 0.1, margin_m: float = 2.0):
-    """Frame-by-frame tracking; returns (boxes, flags).
+    """Frame-by-frame tracking; returns (boxes, reasons).
 
-    flags[i] marks frames where the previous box is re-emitted: the search
-    crop was empty, or the model's best prediction was not finite. Every
-    returned box carries the initial box's size.
+    reasons[i] is None for a tracked frame. Where the previous box is
+    re-emitted it names why: ``"empty_search"`` when the search crop was
+    empty, ``"non_finite"`` when the model's best prediction was not
+    finite. Every returned box carries the initial box's size.
     """
     if not frames:
         raise ValueError("track_sequence needs at least one frame")
     boxes = [init_box]
-    flags = [False]
+    reasons = [None]
     template_cloud = crop_template(frames[0], init_box, extend_ratio)
     if template_cloud.n == 0:
         raise ValueError("initial template crop is empty")
@@ -261,20 +262,20 @@ def track_sequence(frames, init_box: Box3D, model, rng: np.random.Generator,
         mask = points_in_box(frames[i], region)
         if not mask.any():
             boxes.append(ref)
-            flags.append(True)
+            reasons.append("empty_search")
             continue
         search_xyz = to_box_frame(frames[i].coords[mask], ref)
         pred, seeds = model.predict_canonical(template_xyz, search_xyz, ref, i, rng)
         if not np.isfinite(pred.reg[pred.best_index()]).all():
             boxes.append(ref)
-            flags.append(True)
+            reasons.append("non_finite")
             continue
         canon_ref = Box3D(center=np.zeros(3), size=ref.size, yaw=0.0)
         box_world = box_from_frame(decode_box(pred, seeds, canon_ref), ref)
         boxes.append(box_world)
-        flags.append(False)
+        reasons.append(None)
         new_template = crop_template(frames[i], box_world, extend_ratio)
         if new_template.n > 0:
             template_xyz = to_box_frame(new_template.coords, box_world)
         ref = box_world
-    return boxes, flags
+    return boxes, reasons

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import sq_dist_blocks
+from .geometry import shifted_sq_dist_blocks
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,10 @@ def sample_ffps(features: np.ndarray, k: int, start_index: int = 0) -> SampleSel
 def ras_scores(search_feats: np.ndarray, template_feats: np.ndarray) -> np.ndarray:
     """Per-search-point distance to the nearest template feature row.
 
-    Takes the row-wise minimum of the squared distances block by block and
-    clamps round-off below zero once, after the minimum.
+    min_j |s - t_j|² = |s|² + min_j (|t_j|² - 2·s·t_j): the right-hand
+    minimum is taken block by block over ``shifted_sq_dist_blocks``, then
+    ``|s|²`` is added once and round-off below zero is clamped before the
+    square root.
     """
     s = np.asarray(search_feats, dtype=np.float64)
     t = np.asarray(template_feats, dtype=np.float64)
@@ -119,8 +121,9 @@ def ras_scores(search_feats: np.ndarray, template_feats: np.ndarray) -> np.ndarr
     if s.shape[1] != t.shape[1]:
         raise ValueError(f"feature widths differ: {s.shape[1]} vs {t.shape[1]}")
     v = np.empty(s.shape[0])
-    for lo, hi, d2 in sq_dist_blocks(s, t):
-        d2.min(axis=1, out=v[lo:hi])
+    for lo, hi, h in shifted_sq_dist_blocks(s, t):
+        h.min(axis=1, out=v[lo:hi])
+    v += np.sum(s * s, axis=1)
     np.maximum(v, 0.0, out=v)
     return np.sqrt(v, out=v)
 

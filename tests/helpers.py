@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from pctrack.geometry import Box3D, ball_query_padded, points_in_box
+from pctrack.geometry import _BLOCK_BYTES, Box3D, ball_query_padded, points_in_box
 from pctrack.numeric import relu_backward, relu_forward
 
 
@@ -171,16 +171,42 @@ def reference_local_pool_backward(d_pooled, cache):
     return d_feats
 
 
-# Full-matrix distance stages as they were before the row-blocked versions;
-# the product must reproduce them bit for bit.
+# Distance stages written out plainly. The relation scores and the shifted
+# squared distances follow the product's definition, row block for row block,
+# and the product must reproduce them bit for bit. The ball query reference
+# is the full-matrix one from before the row-blocked kernel; on the fixtures
+# of its tests the blocked kernel picks exactly the same neighbors.
+
+
+def reference_sq_dist(a, b):
+    """``|b|² - 2·a·bᵀ``: one GEMM of ``[a, 1]`` against ``[-2bᵀ; |b|²]`` per
+    row block of ``geometry._BLOCK_BYTES``, with the right operand stored
+    row-major (a GEMM on its transpose rounds the edge columns differently)."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    m, n = a.shape[0], b.shape[0]
+    rows = min(m, max(1, _BLOCK_BYTES // (8 * max(n, 1))))
+    right = np.ascontiguousarray(np.vstack([-2.0 * b.T, np.sum(b * b, axis=1)]))
+    out = np.empty((m, n))
+    for lo in range(0, m, rows):
+        block = a[lo:lo + rows]
+        out[lo:lo + rows] = np.hstack([block, np.ones((block.shape[0], 1))]) @ right
+    return out
 
 
 def reference_ras_scores(search_feats, template_feats):
+    """sqrt(max(0, |s|² + min_j (|t_j|² - 2·s·t_j)))."""
     s = np.asarray(search_feats, dtype=np.float64)
-    t = np.asarray(template_feats, dtype=np.float64)
-    d2 = np.sum(s * s, axis=1)[:, None] + np.sum(t * t, axis=1)[None, :] - 2.0 * (s @ t.T)
-    np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2.min(axis=1))
+    h_min = reference_sq_dist(s, template_feats).min(axis=1)
+    return np.sqrt(np.maximum(h_min + np.sum(s * s, axis=1), 0.0))
+
+
+def full_matrix_sq_dist(a, b):
+    """The squared distances of the old kernel: one (M, N) GEMM, then the
+    norms expansion ``|a|² + |b|² - 2·a·bᵀ``."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
 
 
 def reference_ball_query_padded(queries_xyz, cloud_xyz, radius, max_k, fill_idx=None):

@@ -139,8 +139,13 @@ def test_iou_against_monte_carlo_and_closed_form():
 def test_success_and_precision_identities():
     rng = np.random.default_rng(5)
     ious = rng.uniform(0.0, 1.0, size=500)
-    s = success_metric(ious)  # raises internally if the two forms disagree
-    assert abs(s - 100.0 * float(ious.mean())) < 0.1
+    s = success_metric(ious)
+    # The other form in circulation: area under the overlap-threshold curve.
+    thresholds = np.linspace(0.0, 1.0, 1001)
+    curve = (ious[None, :] >= thresholds[:, None]).mean(axis=1)
+    auc = float(np.trapezoid(curve, thresholds)) * 100.0
+    assert abs(s - auc) < 0.1
+    assert s == 100.0 * float(ious.mean())
     p = precision_metric(np.ones(300))
     assert abs(p - 50.0) < 0.5
 

@@ -46,7 +46,9 @@ def test_success_is_mean_overlap_times_100():
 
 def test_success_two_forms_agree_on_random_overlaps():
     ious = np.random.default_rng(0).uniform(0.0, 1.0, size=200)
-    assert success_metric(ious) == pytest.approx(float(ious.mean()) * 100.0, abs=0.1)
+    thresholds = np.linspace(0.0, 1.0, 1001)
+    auc = np.trapezoid((ious[None, :] >= thresholds[:, None]).mean(axis=1), thresholds)
+    assert success_metric(ious) == pytest.approx(float(auc) * 100.0, abs=0.1)
 
 
 def test_precision_exact_one_meter_errors():

@@ -15,11 +15,18 @@ from pctrack.geometry import (
     enlarge_box,
     from_box_frame,
     points_in_box,
-    sq_dist_blocks,
+    shifted_sq_dist_blocks,
     to_box_frame,
     wrap_angle,
 )
-from helpers import brute_ball_query, mc_box_iou, random_box, reference_ball_query_padded
+from helpers import (
+    brute_ball_query,
+    full_matrix_sq_dist,
+    mc_box_iou,
+    random_box,
+    reference_ball_query_padded,
+    reference_sq_dist,
+)
 
 
 def unit_box(**kw):
@@ -385,18 +392,65 @@ def test_ball_query_matches_reference_at_radius_ties_and_empty_rows():
 
 
 def test_sq_dist_blocks_cover_every_row_once():
-    # At this shape a GEMM split into the row blocks rounds differently.
+    # At this shape the blocks' GEMMs round differently from one full GEMM.
     rng = np.random.default_rng(80)
     a = rng.normal(size=(3000, 3))
     b = rng.normal(size=(700, 3))
-    full = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
+    want = reference_sq_dist(a, b)
+    full = full_matrix_sq_dist(a, b) - np.sum(a * a, axis=1)[:, None]
     spans = []
-    for lo, hi, d2 in sq_dist_blocks(a, b):
-        np.testing.assert_array_equal(d2, full[lo:hi])
+    for lo, hi, h in shifted_sq_dist_blocks(a, b):
+        np.testing.assert_array_equal(h, want[lo:hi])
+        np.testing.assert_allclose(h, full[lo:hi], rtol=0, atol=1e-12)
         spans.append((lo, hi))
     assert len(spans) > 1
     assert spans[0][0] == 0 and spans[-1][1] == 3000
     assert all(h == l for (_, h), (l, _) in zip(spans, spans[1:]))
+
+
+def _direct_neighbors(queries, cloud, radius, max_k):
+    """Lowest-index first max_k neighbors by direct-difference distances."""
+    out = []
+    for lo in range(0, queries.shape[0], 64):
+        d2 = np.sum((queries[lo:lo + 64, None, :] - cloud[None, :, :]) ** 2, axis=2)
+        out.extend(np.flatnonzero(row)[:max_k] for row in d2 <= radius * radius)
+    return out
+
+
+@pytest.mark.parametrize("max_k", [32, 4071])
+def test_ball_query_matches_direct_difference_oracle_at_level1_size(max_k):
+    """A search cloud's level-1 ball query: 512 centroids in 4071 points."""
+    rng = np.random.default_rng(81)
+    cloud = rng.uniform(-2, 2, size=(4071, 3))
+    queries = cloud[rng.choice(4071, size=512, replace=False)] + rng.normal(
+        scale=0.05, size=(512, 3))
+    idx, counts = ball_query_padded(queries, cloud, 0.3, max_k)
+    want = _direct_neighbors(queries, cloud, 0.3, max_k)
+    assert counts.tolist() == [len(w) for w in want]
+    assert counts.max() > 1
+    for row, cnt, w in zip(idx, counts, want):
+        np.testing.assert_array_equal(row[:cnt], w)
+
+
+def test_ball_query_matches_shifted_gemm_definition_bitwise():
+    """In-radius means ``|c|² - 2q·c <= r² - |q|²`` on the blocked GEMM.
+
+    Lattice points tie at the radius exactly; the shell points lie on the
+    query spheres up to round-off, where other formulas of the distance
+    decide differently."""
+    rng = np.random.default_rng(82)
+    lattice = np.stack(np.meshgrid(*[np.arange(6.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    queries = np.vstack([lattice, rng.uniform(0, 5, size=(2000, 3))])
+    for radius in (0.4, 1.0):
+        u = rng.normal(size=queries.shape)
+        shell = queries + radius * u / np.linalg.norm(u, axis=1, keepdims=True)
+        cloud = np.vstack([lattice, rng.uniform(0, 5, size=(2000, 3)), shell])
+        limit = radius * radius - np.sum(queries * queries, axis=1)
+        mask = reference_sq_dist(queries, cloud) <= limit[:, None]
+        idx, counts = ball_query_padded(queries, cloud, radius, cloud.shape[0])
+        assert counts.tolist() == mask.sum(axis=1).tolist()
+        for row, cnt, hits in zip(idx, counts, mask):
+            np.testing.assert_array_equal(row[:cnt], np.flatnonzero(hits))
 
 
 # ---------------------------------------------------------------- distortion

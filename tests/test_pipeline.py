@@ -270,9 +270,9 @@ def test_oracle_tracking_is_exact_on_static_object():
                                   velocity=(0.0, 0.0, 0.0)), seed=21)
     frames = [c for c, _ in tr.frames]
     gt = [b for _, b in tr.frames]
-    boxes, flags = track_sequence(frames, gt[0], OracleModel(gt),
-                                  np.random.default_rng(0))
-    assert flags == [False] * 6
+    boxes, reasons = track_sequence(frames, gt[0], OracleModel(gt),
+                                    np.random.default_rng(0))
+    assert reasons == [None] * 6
     for pred, truth in zip(boxes, gt):
         assert box_iou_3d(pred, truth) > 1.0 - 1e-9
 
@@ -291,19 +291,19 @@ def test_single_frame_returns_initial_box():
     tr = synth_tracklet(SynthSpec(n_frames=1, points_on_object=20, n_clutter=10), seed=2)
     frames = [tr.frames[0][0]]
     init = tr.frames[0][1]
-    boxes, flags = track_sequence(frames, init, OracleModel([init]),
-                                  np.random.default_rng(0))
-    assert boxes == [init] and flags == [False]
+    boxes, reasons = track_sequence(frames, init, OracleModel([init]),
+                                    np.random.default_rng(0))
+    assert boxes == [init] and reasons == [None]
 
 
 def test_empty_search_crop_is_flagged():
     init = Box3D((0.0, 0.0, 0.0), (2.0, 2.0, 2.0), 0.0)
     near = PointCloud(np.random.default_rng(0).uniform(-1, 1, size=(30, 3)))
     far = PointCloud(near.coords + 300.0)
-    boxes, flags = track_sequence([near, far, near], init,
-                                  OracleModel([init, init, init]),
-                                  np.random.default_rng(0))
-    assert flags == [False, True, False]
+    boxes, reasons = track_sequence([near, far, near], init,
+                                    OracleModel([init, init, init]),
+                                    np.random.default_rng(0))
+    assert reasons == [None, "empty_search", None]
     np.testing.assert_array_equal(boxes[1].as_array7(), init.as_array7())
 
 
@@ -324,15 +324,15 @@ class _NonFiniteOnFrame(OracleModel):
 
 @pytest.mark.parametrize("column", [0, 3], ids=["center", "yaw"])
 def test_non_finite_prediction_holds_previous_box(column):
-    """A NaN prediction re-emits the previous box and flags the frame; the
+    """A NaN prediction re-emits the previous box and says why; the
     tracklet goes on and the frames after it are tracked again."""
     tr = synth_tracklet(SynthSpec(n_frames=5, points_on_object=40, n_clutter=50,
                                   velocity=(0.1, 0.0, 0.0), yaw_rate=0.05), seed=23)
     frames = [c for c, _ in tr.frames]
     gt = [b for _, b in tr.frames]
-    boxes, flags = track_sequence(frames, gt[0], _NonFiniteOnFrame(gt, 2, column),
-                                  np.random.default_rng(0))
-    assert flags == [False, False, True, False, False]
+    boxes, reasons = track_sequence(frames, gt[0], _NonFiniteOnFrame(gt, 2, column),
+                                    np.random.default_rng(0))
+    assert reasons == [None, None, "non_finite", None, None]
     np.testing.assert_array_equal(boxes[2].as_array7(), boxes[1].as_array7())
     for i in (1, 3, 4):
         assert box_iou_3d(boxes[i], gt[i]) > 1.0 - 1e-9
@@ -366,7 +366,7 @@ def test_real_model_runs_through_loop():
     frames = [c for c, _ in tr.frames]
     init = tr.frames[0][1]
     model = TrackerModel(build_model_spec(cfg), init_seed=0)
-    boxes, flags = track_sequence(frames, init, model, np.random.default_rng(5))
-    assert len(boxes) == 3 and not any(flags)
+    boxes, reasons = track_sequence(frames, init, model, np.random.default_rng(5))
+    assert len(boxes) == 3 and reasons == [None] * 3
     for b in boxes:
         np.testing.assert_array_equal(b.size, init.size)

@@ -14,6 +14,7 @@ from pctrack.sampling import (
 )
 from helpers import (
     foreground_fixture,
+    full_matrix_sq_dist,
     greedy_fps_oracle,
     ras_sort_oracle,
     reference_greedy_farthest,
@@ -188,6 +189,25 @@ def test_ras_scores_match_full_matrix_reference_across_blocks():
     v = ras_scores(search, template)
     np.testing.assert_array_equal(v, reference_ras_scores(search, template))
     np.testing.assert_array_equal(v[::7], v[1::7])
+    # The old full-matrix scores agree to round-off in the squared distance.
+    old = np.maximum(full_matrix_sq_dist(search, template), 0.0).min(axis=1)
+    np.testing.assert_allclose(v * v, old, rtol=1e-12, atol=1e-12)
+
+
+def test_ras_order_matches_direct_difference_oracle_at_level1_size():
+    """Level-1 relation sampling of a dense search crop: 4000 points, a
+    1600-point template, 32 feature channels."""
+    rng = np.random.default_rng(72)
+    search = rng.normal(size=(4000, 32))
+    template = rng.normal(size=(1600, 32))
+    d2 = np.empty(4000)
+    for lo in range(0, 4000, 50):
+        diff = search[lo:lo + 50, None, :] - template[None, :, :]
+        d2[lo:lo + 50] = np.sum(diff ** 2, axis=2).min(axis=1)
+    want = np.argsort(np.sqrt(d2), kind="stable")
+    np.testing.assert_array_equal(sample_ras(search, template, 4000).indices, want)
+    np.testing.assert_array_equal(ras_scores(search, template),
+                                  reference_ras_scores(search, template))
 
 
 # ---------------------------------------------------------------- RAS selection
