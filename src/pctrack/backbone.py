@@ -34,6 +34,7 @@ from .numeric import (
 )
 from .sampling import (
     SampleSelection,
+    dfps_prefix,
     sample_dfps,
     sample_ffps,
     sample_hybrid,
@@ -101,12 +102,18 @@ class BackboneSpec:
 
 def select_points(method: str, coords: np.ndarray, feats: np.ndarray,
                   template_feats: np.ndarray | None, k: int,
-                  rng: np.random.Generator) -> SampleSelection:
-    """Dispatch one centroid selection by strategy name."""
+                  rng: np.random.Generator, level: int = 0) -> SampleSelection:
+    """Dispatch one centroid selection by strategy name.
+
+    A branch keeps one sampler at every level, so past the first level a
+    ``dfps`` branch's points are the previous level's D-FPS centroids,
+    already in D-FPS order. Their selection is ``dfps_prefix``, exactly
+    what the greedy loop would return, and the loop runs once per branch.
+    """
     if method == "random":
         return sample_random(coords.shape[0], k, rng)
     if method == "dfps":
-        return sample_dfps(coords, k)
+        return sample_dfps(coords, k) if level == 0 else dfps_prefix(coords.shape[0], k)
     if method == "ffps":
         return sample_ffps(feats, k)
     if method == "ras":
@@ -311,6 +318,9 @@ class Backbone:
         coords_s = np.asarray(coords_s, dtype=self.dtype)
         if coords_t.shape[0] == 0 or coords_s.shape[0] == 0:
             raise ValueError("backbone requires non-empty template and search clouds")
+        # The samplers' argmax and the ball query assume finite coordinates.
+        if not (np.isfinite(coords_t).all() and np.isfinite(coords_s).all()):
+            raise ValueError("backbone requires finite template and search coordinates")
 
         replay = plan is not None
         if not replay:
@@ -330,9 +340,9 @@ class Backbone:
                 sel_t, sel_s = plan.selections[i]
             else:
                 sel_t = select_points(self.spec.template_sampler, ct, feats_t,
-                                      None, lv.out_template, rng)
+                                      None, lv.out_template, rng, i)
                 sel_s = select_points(self.spec.search_sampler, cs, feats_s,
-                                      feats_t, lv.out_search, rng)
+                                      feats_t, lv.out_search, rng, i)
                 plan.selections.append((sel_t, sel_s))
             (ct, feats_t), cache_t = level.forward(ct, feats_t, sel_t, training)
             (cs, feats_s), cache_s = level.forward(cs, feats_s, sel_s, training)

@@ -153,13 +153,36 @@ def box_from_frame(box: Box3D, ref: Box3D) -> Box3D:
 
 
 def points_in_box(cloud, box: Box3D) -> np.ndarray:
-    """Boolean mask of points inside the box; boundary points count as inside."""
+    """Boolean mask of points inside the box; boundary points count as inside.
+
+    Bound first: a row is rotated only if its offset ``p = xyz - center``
+    lies within the box's axis-aligned xy bound, of half-extents
+    ``|cos|·hx + |sin|·hy`` and ``|sin|·hx + |cos|·hy``, each widened by
+    1e-9·(hx + hy). The slack is orders of magnitude above the few ulps by
+    which the rounded rotation can differ from the exact one, so the bound
+    keeps every row that the rotated test accepts. The kept rows take
+    ``to_box_frame``'s arithmetic on the same ``p`` bits and the test
+    ``|·| <= size / 2`` on x, y and z, so the mask equals the one from
+    rotating every row, bit for bit.
+    """
     xyz = _as_xyz(cloud)
-    if xyz.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
-    local = to_box_frame(xyz, box)
-    half = box.size / 2.0
-    return (np.abs(local) <= half).all(axis=1)
+    cx, cy, cz = box.center.tolist()
+    sx, sy, sz = box.size.tolist()
+    hx, hy, hz = sx / 2.0, sy / 2.0, sz / 2.0
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    slack = 1e-9 * (hx + hy)
+    px = xyz[:, 0] - cx
+    py = xyz[:, 1] - cy
+    near = np.abs(px) <= abs(c) * hx + abs(s) * hy + slack
+    near &= np.abs(py) <= abs(s) * hx + abs(c) * hy + slack
+    rows = near.nonzero()[0]
+    px, py = px[rows], py[rows]
+    inside = np.abs(c * px + s * py) <= hx
+    inside &= np.abs(-s * px + c * py) <= hy
+    inside &= np.abs(xyz[rows, 2] - cz) <= hz
+    mask = np.zeros(xyz.shape[0], dtype=bool)
+    mask[rows] = inside
+    return mask
 
 
 def crop_template(cloud: PointCloud, box: Box3D, extend_ratio: float = 0.0) -> PointCloud:

@@ -244,12 +244,15 @@ def jagged_layout(idx: np.ndarray, counts: np.ndarray):
     neighbors: a prefix of that row order and a contiguous run of the hits.
     Returns ``(order, src, rowpos, sizes)``: the row order, each hit's
     source index, each hit's position in the row order, and each layer's
-    length (K layers, trailing ones may be empty). Rows without neighbors
-    come last in ``order`` and appear in no layer.
+    length. Only layers that hold a hit are kept, one per neighbor rank up
+    to the largest count, so the pooling loops run over real layers alone;
+    when no row has a neighbor a single empty layer remains. Rows without
+    neighbors come last in ``order`` and appear in no layer.
     """
     order = np.argsort(-counts, kind="stable")
-    valid = np.arange(idx.shape[1])[:, None] < counts[order][None, :]
-    src = idx[order].T[valid]
+    layers = max(int(counts.max(initial=0)), 1)
+    valid = np.arange(layers)[:, None] < counts[order][None, :]
+    src = idx[order, :layers].T[valid]
     rowpos = np.broadcast_to(np.arange(order.size), valid.shape)[valid]
     return order, src, rowpos, valid.sum(axis=1)
 

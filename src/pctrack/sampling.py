@@ -49,6 +49,13 @@ def sample_random(n: int, k: int, rng: np.random.Generator) -> SampleSelection:
 
 
 def _greedy_farthest(points: np.ndarray, k: int, start_index: int, method: str) -> SampleSelection:
+    """Greedy farthest-point order from ``start_index``, lowest index on ties.
+
+    Each pick takes the point farthest from every point picked so far, by
+    the minimum of row-local squared distances. The order is prefix-closed:
+    on its own first j points, or on a round-robin padding of them, the
+    greedy loop returns ``0 … j-1`` (see ``dfps_prefix``).
+    """
     n, width = points.shape
     if n < 1:
         raise ValueError("need at least one point")
@@ -57,38 +64,37 @@ def _greedy_farthest(points: np.ndarray, k: int, start_index: int, method: str) 
     take = min(k, n)
     chosen = np.empty(take, dtype=np.int64)
     chosen[0] = start_index
-    row = np.empty(n)
     if width < 8:
-        # np.sum adds fewer than 8 columns left to right; summing contiguous
-        # columns in that order gives the same bits without the (n, width)
-        # temporaries. From 8 columns on NumPy sums pairwise, so wide inputs
-        # keep the row reduction on a reused buffer.
+        # np.sum adds fewer than 8 columns left to right; adding the rows of
+        # a (width, n) difference in that order gives the same bits with one
+        # subtract and one multiply per pick. From 8 columns on NumPy sums
+        # pairwise, so wide inputs keep the row reduction on a reused buffer.
         cols = np.ascontiguousarray(points.T)
-        diff = np.empty(n)
+        diff = np.empty_like(cols)
+        row, rest = diff[0], list(diff[1:])
 
-        def sq_dist_to(p):
-            np.subtract(cols[0], p[0], out=row)
-            np.multiply(row, row, out=row)
-            for j in range(1, width):
-                np.subtract(cols[j], p[j], out=diff)
-                np.multiply(diff, diff, out=diff)
-                np.add(row, diff, out=row)
+        def sq_dist_to(j):
+            np.subtract(cols, cols[:, j:j + 1], out=diff)
+            np.multiply(diff, diff, out=diff)
+            for r in rest:
+                np.add(row, r, out=row)
     else:
+        row = np.empty(n)
         diff = np.empty_like(points)
 
-        def sq_dist_to(p):
-            np.subtract(points, p, out=diff)
+        def sq_dist_to(j):
+            np.subtract(points, points[j], out=diff)
             np.multiply(diff, diff, out=diff)
             np.sum(diff, axis=1, out=row)
 
-    sq_dist_to(points[start_index])
+    sq_dist_to(start_index)
     min_d2 = row.copy()
     min_d2[start_index] = -1.0  # already selected; never a candidate again
     for i in range(1, take):
         # argmax returns the first maximum, which is the lowest-index tie.
-        nxt = int(np.argmax(min_d2))
+        nxt = min_d2.argmax()
         chosen[i] = nxt
-        sq_dist_to(points[nxt])
+        sq_dist_to(nxt)
         np.minimum(min_d2, row, out=min_d2)
         min_d2[nxt] = -1.0
     if k <= n:
@@ -99,6 +105,25 @@ def _greedy_farthest(points: np.ndarray, k: int, start_index: int, method: str) 
 def sample_dfps(coords: np.ndarray, k: int, start_index: int = 0) -> SampleSelection:
     """Greedy farthest-point selection in Euclidean coordinate space."""
     return _greedy_farthest(np.asarray(coords, dtype=np.float64), k, start_index, "dfps")
+
+
+def dfps_prefix(n: int, k: int) -> SampleSelection:
+    """``sample_dfps(points, k)`` for n points that are already in D-FPS order.
+
+    Such points are the picks of a D-FPS run from index 0, in pick order,
+    possibly followed by copies of them (a prefix of a selection, or of its
+    round-robin padding). The greedy loop is prefix-closed on them: at each
+    step it has picked the same points as the run that ordered them and
+    computes the same row-local distance bits. That run's next pick attains
+    the maximum, points tied with it and copies of it sit later, and picked
+    points hold -1, so ``argmax`` returns the next index. Once the ordered
+    points are all picked, the copies have distance exactly 0 and come in
+    index order.
+    """
+    order = np.arange(n, dtype=np.int64)
+    if k <= n:
+        return SampleSelection(order[:k], "dfps")
+    return SampleSelection(_pad_round_robin(order, k), "dfps", padded=True)
 
 
 def sample_ffps(features: np.ndarray, k: int, start_index: int = 0) -> SampleSelection:
