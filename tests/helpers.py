@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from pctrack.geometry import _BLOCK_BYTES, Box3D, ball_query_padded, points_in_box
+from pctrack.geometry import _BLOCK_BYTES, Box3D, ball_query_padded, points_in_box, to_box_frame
 from pctrack.numeric import relu_backward, relu_forward
 
 
@@ -34,6 +34,12 @@ def mc_box_iou(a: Box3D, b: Box3D, n_samples: int, rng: np.random.Generator) -> 
     if union == 0:
         return 0.0
     return np.count_nonzero(in_a & in_b) / union
+
+
+def reference_points_in_box(cloud, box: Box3D) -> np.ndarray:
+    """Rotate-everything membership: every row through ``to_box_frame``, then
+    ``|local| <= size / 2`` on all three axes."""
+    return (np.abs(to_box_frame(cloud, box)) <= box.size / 2.0).all(axis=1)
 
 
 def brute_ball_query(queries: np.ndarray, cloud: np.ndarray, radius: float, max_k: int):

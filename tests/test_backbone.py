@@ -9,6 +9,7 @@ from pctrack.backbone import (
     SetAbstraction,
     select_points,
 )
+from pctrack.config import apply_ablation, build_model_spec, config_for_profile
 from pctrack.geometry import ball_query_padded
 from pctrack.numeric import grad_check
 from pctrack.sampling import SampleSelection, sample_dfps
@@ -329,6 +330,44 @@ def test_backbone_grad_check():
         return float((w_t * xt).sum() + (w_s * xs).sum())
 
     assert grad_check(fn, bb.params()) < 1e-4
+
+
+@pytest.mark.parametrize("profile,ablation,n_t,n_s", [
+    ("desk", None, 300, 700),
+    ("desk", None, 150, 400),
+    ("desk-small", None, 40, 100),
+    ("tiny", None, 12, 60),
+    ("desk", "sampler-dfps", 200, 450),
+    ("desk-small", "sampler-dfps", 90, 100),
+])
+def test_backbone_dfps_selections_equal_per_level_sample_dfps(profile, ablation, n_t, n_s):
+    """Every D-FPS branch's selections equal ``sample_dfps`` run afresh at
+    each level on that level's points, padded level-1 selections included,
+    although only level 1 runs the greedy loop."""
+    cfg = config_for_profile(profile)
+    if ablation:
+        cfg = apply_ablation(cfg, ablation)
+    spec = build_model_spec(cfg).backbone
+    bb = Backbone(spec, np.random.default_rng(0))
+    rng = np.random.default_rng(n_t)
+    # Two decimals make ties between candidate distances common.
+    clouds = [np.round(rng.uniform(-2.0, 2.0, size=(n, 3)), 2) for n in (n_t, n_s)]
+    (*_, plan), _ = bb.forward(*clouds, np.random.default_rng(1))
+    branches = [(0, spec.template_sampler, "out_template"), (1, spec.search_sampler, "out_search")]
+    checked = 0
+    for side, sampler, budget in branches:
+        if sampler != "dfps":
+            continue
+        pts = clouds[side].astype(bb.dtype)
+        for level, lv in enumerate(spec.levels):
+            got = plan.selections[level][side]
+            want = sample_dfps(pts, getattr(lv, budget))
+            np.testing.assert_array_equal(got.indices, want.indices)
+            assert (got.padded, got.method) == (want.padded, "dfps")
+            assert got.padded == (level == 0 and pts.shape[0] < getattr(lv, budget))
+            pts = pts[got.indices]
+            checked += 1
+    assert checked == len(spec.levels) * (2 if ablation else 1)
 
 
 def test_select_points_dispatch():

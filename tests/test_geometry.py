@@ -25,6 +25,7 @@ from helpers import (
     mc_box_iou,
     random_box,
     reference_ball_query_padded,
+    reference_points_in_box,
     reference_sq_dist,
 )
 
@@ -116,6 +117,48 @@ def test_box_to_frame_roundtrip():
         assert again.yaw == pytest.approx(box.yaw, abs=1e-12)
 
 
+def random_frame_box(rng, scale):
+    """A box whose center lies ``scale`` meters out, in a random direction."""
+    direction = rng.normal(size=3)
+    center = scale * direction / np.linalg.norm(direction)
+    return Box3D(center, rng.uniform(0.2, 6.0, size=3), rng.uniform(-math.pi, math.pi))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e2, 1e4])
+def test_point_frame_round_trip_property(scale):
+    """from_box_frame(to_box_frame(x)) returns x within 1e-9 m, for random
+    boxes and clouds out to 1e4 m."""
+    rng = np.random.default_rng(int(scale * 1000) % 997)
+    for _ in range(50):
+        box = random_frame_box(rng, scale)
+        pts = box.center + rng.normal(scale=max(scale, 1.0), size=(64, 3))
+        back = from_box_frame(to_box_frame(pts, box), box)
+        assert np.abs(back - pts).max() <= 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e2, 1e4])
+def test_box_frame_round_trip_property(scale):
+    """box_from_frame(box_to_frame(b, ref), ref) returns b: the center within
+    1e-9 m, the size exactly, and the yaw up to wrap-around, with yaws near
+    ±pi so that the sums and differences wrap."""
+    rng = np.random.default_rng(int(scale * 1000) % 991)
+    wrapped = 0
+    for i in range(100):
+        ref = random_frame_box(rng, scale)
+        box = random_frame_box(rng, scale)
+        if i % 4 == 0:
+            box = Box3D(box.center, box.size, math.pi - rng.uniform(0.0, 1e-3))
+            ref = Box3D(ref.center, ref.size, -math.pi + rng.uniform(0.0, 1e-3))
+        canon = box_to_frame(box, ref)
+        wrapped += abs(box.yaw - ref.yaw) > math.pi
+        again = box_from_frame(canon, ref)
+        assert -math.pi < canon.yaw <= math.pi and -math.pi < again.yaw <= math.pi
+        assert np.abs(again.center - box.center).max() <= 1e-9
+        np.testing.assert_array_equal(again.size, box.size)
+        assert abs(wrap_angle(again.yaw - box.yaw)) <= 1e-12
+    assert wrapped >= 25
+
+
 def test_box_in_own_frame_is_canonical():
     box = Box3D(center=[5, 5, 5], size=[3, 2, 1], yaw=-2.0)
     canon = box_to_frame(box, box)
@@ -165,6 +208,60 @@ def test_membership_invariant_under_joint_yaw():
         )
         turned_box = Box3D(box.center, box.size, box.yaw + extra)
         np.testing.assert_array_equal(points_in_box(rot + box.center, turned_box), base)
+
+
+MEMBERSHIP_YAWS = [0.0, math.pi / 2, -math.pi / 2, math.pi, math.pi / 4]
+
+
+def membership_probes(box, rng):
+    """World points on the box's faces, edges and corners, each also moved one
+    ulp either way (per coordinate and all at once), plus a scattered cloud
+    that includes points inside the xy footprint but above or below it."""
+    half = box.size / 2.0
+    grid = np.array(np.meshgrid([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]))
+    on_faces = rng.uniform(-1.0, 1.0, size=(60, 3))
+    on_faces[np.arange(60), np.arange(60) % 3] = rng.choice([-1.0, 1.0], size=60)
+    local = np.vstack([grid.reshape(3, -1).T, on_faces]) * half
+    surface = from_box_frame(local, box)
+    probes = [surface]
+    for direction in (np.inf, -np.inf):
+        probes.append(np.nextafter(surface, direction))
+        for axis in range(3):
+            moved = surface.copy()
+            moved[:, axis] = np.nextafter(surface[:, axis], direction)
+            probes.append(moved)
+    scatter = rng.uniform(-1.6, 1.6, size=(300, 3)) * half
+    scatter[:100, 2] = rng.choice([-1.0, 1.0], size=100) * rng.uniform(1.0, 1.6, 100) * half[2]
+    probes.append(from_box_frame(scatter, box))
+    return np.vstack(probes)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e2, 1e4])
+@pytest.mark.parametrize("yaw", MEMBERSHIP_YAWS + [None], ids=["0", "pi/2", "-pi/2", "pi",
+                                                            "pi/4", "random"])
+def test_points_in_box_matches_rotate_everything_oracle(yaw, scale):
+    """The bound-first mask equals the rotate-everything mask bit for bit, on
+    faces, edges and corners and one ulp off them, for float64 and float32
+    inputs, centers from 1e-3 m to 1e4 m."""
+    which = 5 if yaw is None else MEMBERSHIP_YAWS.index(yaw)
+    rng = np.random.default_rng([which, round(math.log10(scale)) + 3])
+    inside = outside = 0
+    for trial in range(6):
+        theta = rng.uniform(-math.pi, math.pi) if yaw is None else yaw
+        size = rng.uniform(0.3, 5.0, size=3)
+        if trial == 5:
+            size[:2] = (8.0, 0.05)  # long and thin
+        direction = rng.normal(size=3)
+        box = Box3D(scale * direction / np.linalg.norm(direction), size, theta)
+        pts = membership_probes(box, rng)
+        for cloud in (pts, pts.astype(np.float32), PointCloud(pts)):
+            got = points_in_box(cloud, box)
+            want = reference_points_in_box(cloud, box)
+            assert got.dtype == bool and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+        inside += int(want.sum())
+        outside += int((~want).sum())
+    assert inside > 100 and outside > 100
 
 
 # ---------------------------------------------------------------- crops

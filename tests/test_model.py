@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import pctrack.backbone
 from pctrack.backbone import BackboneSpec, SALevelSpec
+from pctrack.config import apply_ablation, build_model, config_for_profile
 from pctrack.heads import HeadSpec
 from pctrack.model import ModelOutput, ModelSpec, TrackerModel
 from pctrack.numeric import grad_check
@@ -91,6 +93,41 @@ def test_model_param_names_unique():
     model = TrackerModel(tiny_model_spec(), init_seed=5, dtype=np.float64)
     names = [p.name for p in model.params()]
     assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize("ablation,runs", [(None, 1), ("sampler-dfps", 2)],
+                         ids=["desk", "desk-sampler-dfps"])
+def test_one_dfps_run_per_dfps_branch(monkeypatch, ablation, runs):
+    """Each branch that samples by D-FPS runs the greedy loop once per
+    forward, at level 1; deeper levels take its prefix."""
+    cfg = config_for_profile("desk")
+    if ablation:
+        cfg = apply_ablation(cfg, ablation)
+    model = build_model(cfg)
+    calls = []
+    real = pctrack.backbone.sample_dfps
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pctrack.backbone, "sample_dfps", counted)
+    rng = np.random.default_rng(8)
+    model.forward(rng.uniform(-2, 2, size=(300, 3)), rng.uniform(-3, 3, size=(700, 3)), rng)
+    assert len(calls) == runs
+    assert calls[0] == cfg.sa_template_points[0]
+
+
+@pytest.mark.parametrize("branch,value", [("template", np.nan), ("search", np.inf),
+                                          ("search", -np.inf), ("template", 1e39)])
+def test_predict_canonical_rejects_non_finite_coordinates(branch, value):
+    """Direct callers skip PointCloud's check, so the backbone makes it; 1e39
+    overflows the float32 network to inf."""
+    model = TrackerModel(tiny_model_spec(), init_seed=0)
+    ct, cs = tiny_clouds(3)
+    (ct if branch == "template" else cs)[4, 1] = value
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        model.predict_canonical(ct, cs, None, 0, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- checkpoints

@@ -5,6 +5,7 @@ import pytest
 
 from pctrack.sampling import (
     SampleSelection,
+    dfps_prefix,
     ras_scores,
     sample_dfps,
     sample_ffps,
@@ -134,6 +135,33 @@ def test_fps_matches_full_array_reference_bitwise(sampler, width):
     fortran = np.asfortranarray(pts[:400])
     np.testing.assert_array_equal(sampler(fortran, 150).indices,
                                   reference_greedy_farthest(fortran, 150))
+
+
+def test_dfps_is_prefix_closed_on_its_own_order():
+    """D-FPS on the points of a D-FPS selection, in selection order, returns
+    ``dfps_prefix``: the leading indices, padded round robin past the end.
+    Rounded coordinates make ties and exact duplicates common; k1 falls
+    below and above n (padded first selections), k2 below and above k1."""
+    rng = np.random.default_rng(47)
+    padded_first = padded_second = 0
+    for trial in range(240):
+        n = int(rng.integers(1, 40))
+        pts = np.round(rng.uniform(-1.0, 1.0, size=(n, 3)), int(rng.integers(1, 4)))
+        if trial % 3 == 0:
+            pts[rng.integers(0, n, size=n // 3)] = pts[rng.integers(0, n, size=n // 3)]
+        if trial % 5 == 0:
+            pts = pts.astype(np.float32)
+        k1 = int(rng.integers(1, 2 * n + 2))
+        first = sample_dfps(pts, k1)
+        ordered = pts[first.indices]
+        padded_first += first.padded
+        for k2 in (int(rng.integers(1, k1 + 1)), int(rng.integers(k1 + 1, 2 * k1 + 2))):
+            got = sample_dfps(ordered, k2)
+            want = dfps_prefix(k1, k2)
+            np.testing.assert_array_equal(got.indices, want.indices)
+            assert (got.padded, got.method) == (want.padded, want.method)
+            padded_second += got.padded
+    assert padded_first >= 50 and padded_second >= 240
 
 
 def test_fps_start_index_validation():
