@@ -179,7 +179,7 @@ def points_in_box(cloud, box: Box3D) -> np.ndarray:
     px, py = px[rows], py[rows]
     inside = np.abs(c * px + s * py) <= hx
     inside &= np.abs(-s * px + c * py) <= hy
-    inside &= np.abs(xyz[rows, 2] - cz) <= hz
+    inside &= np.abs(xyz[:, 2][rows] - cz) <= hz
     mask = np.zeros(xyz.shape[0], dtype=bool)
     mask[rows] = inside
     return mask
