@@ -105,10 +105,9 @@ def select_points(method: str, coords: np.ndarray, feats: np.ndarray,
                   rng: np.random.Generator, level: int = 0) -> SampleSelection:
     """Dispatch one centroid selection by strategy name.
 
-    A branch keeps one sampler at every level, so past the first level a
-    ``dfps`` branch's points are the previous level's D-FPS centroids,
-    already in D-FPS order. Their selection is ``dfps_prefix``, exactly
-    what the greedy loop would return, and the loop runs once per branch.
+    A branch keeps one sampler at every level, so past level 0 a ``dfps``
+    branch's points are already in D-FPS order, and ``dfps_prefix`` gives
+    what the greedy loop would: the loop runs once per branch.
     """
     if method == "random":
         return sample_random(coords.shape[0], k, rng)

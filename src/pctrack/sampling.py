@@ -51,10 +51,10 @@ def sample_random(n: int, k: int, rng: np.random.Generator) -> SampleSelection:
 def _greedy_farthest(points: np.ndarray, k: int, start_index: int, method: str) -> SampleSelection:
     """Greedy farthest-point order from ``start_index``, lowest index on ties.
 
-    Each pick takes the point farthest from every point picked so far, by
-    the minimum of row-local squared distances. The order is prefix-closed:
-    on its own first j points, or on a round-robin padding of them, the
-    greedy loop returns ``0 … j-1`` (see ``dfps_prefix``).
+    Each pick is the point whose minimum row-local squared distance to the
+    picks so far is largest. The order is prefix-closed: rerun on its own
+    points from index 0, the loop returns their leading indices
+    (``dfps_prefix``).
     """
     n, width = points.shape
     if n < 1:
@@ -120,10 +120,7 @@ def dfps_prefix(n: int, k: int) -> SampleSelection:
     points are all picked, the copies have distance exactly 0 and come in
     index order.
     """
-    order = np.arange(n, dtype=np.int64)
-    if k <= n:
-        return SampleSelection(order[:k], "dfps")
-    return SampleSelection(_pad_round_robin(order, k), "dfps", padded=True)
+    return SampleSelection(_pad_round_robin(np.arange(n), k), "dfps", padded=k > n)
 
 
 def sample_ffps(features: np.ndarray, k: int, start_index: int = 0) -> SampleSelection:
