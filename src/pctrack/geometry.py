@@ -155,15 +155,11 @@ def box_from_frame(box: Box3D, ref: Box3D) -> Box3D:
 def points_in_box(cloud, box: Box3D) -> np.ndarray:
     """Boolean mask of points inside the box; boundary points count as inside.
 
-    Bound first: a row is rotated only if its offset ``p = xyz - center``
-    lies within the box's axis-aligned xy bound, of half-extents
-    ``|cos|·hx + |sin|·hy`` and ``|sin|·hx + |cos|·hy``, each widened by
-    1e-9·(hx + hy). The slack is orders of magnitude above the few ulps by
-    which the rounded rotation can differ from the exact one, so the bound
-    keeps every row that the rotated test accepts. The kept rows take
-    ``to_box_frame``'s arithmetic on the same ``p`` bits and the test
-    ``|·| <= size / 2`` on x, y and z, so the mask equals the one from
-    rotating every row, bit for bit.
+    Bound first: only rows whose offset ``p = xyz - center`` lies within
+    the box's axis-aligned xy bound, widened by 1e-9·(hx + hy) (far above
+    the rotation's round-off), go through ``to_box_frame``'s arithmetic on
+    the same ``p`` bits and ``|·| <= size / 2``. The mask equals the one
+    from rotating every row, bit for bit.
     """
     xyz = _as_xyz(cloud)
     cx, cy, cz = box.center.tolist()

@@ -110,15 +110,11 @@ def sample_dfps(coords: np.ndarray, k: int, start_index: int = 0) -> SampleSelec
 def dfps_prefix(n: int, k: int) -> SampleSelection:
     """``sample_dfps(points, k)`` for n points that are already in D-FPS order.
 
-    Such points are the picks of a D-FPS run from index 0, in pick order,
-    possibly followed by copies of them (a prefix of a selection, or of its
-    round-robin padding). The greedy loop is prefix-closed on them: at each
-    step it has picked the same points as the run that ordered them and
-    computes the same row-local distance bits. That run's next pick attains
-    the maximum, points tied with it and copies of it sit later, and picked
-    points hold -1, so ``argmax`` returns the next index. Once the ordered
-    points are all picked, the copies have distance exactly 0 and come in
-    index order.
+    Such points are a D-FPS run's picks from index 0, in pick order, maybe
+    followed by copies of them. Rerun on them, the greedy loop computes the
+    same distance bits, and each original pick is the first maximum; the
+    copies come last, at distance 0, in index order (README, "Exact
+    shortcuts").
     """
     return SampleSelection(_pad_round_robin(np.arange(n), k), "dfps", padded=k > n)
 
