@@ -336,6 +336,8 @@ def _write_cloud_bin(path: Path, coords: np.ndarray):
 
 def _read_cloud_bin(path: Path) -> np.ndarray:
     raw = Path(path).read_bytes()
+    if len(raw) < 4:
+        raise ValueError(f"{path}: {len(raw)} bytes, shorter than the 4-byte header")
     (n,) = struct.unpack_from("<I", raw, 0)
     expected = 4 + 12 * n
     if len(raw) != expected:

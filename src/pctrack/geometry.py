@@ -278,8 +278,8 @@ def box_iou_3d(a: Box3D, b: Box3D) -> float:
 # Pairwise squared distances and fixed-radius neighbor queries.
 # ---------------------------------------------------------------------------
 
-# Bytes of float64 per row block of the distance stages: small enough that a
-# block's GEMM output stays in cache until its consumer has read it.
+# Bytes per row block of the distance stages: small enough that a block's
+# GEMM output stays in cache until its consumer has read it.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -290,20 +290,20 @@ def shifted_sq_dist_blocks(a: np.ndarray, b: np.ndarray):
     less the row's own ``|a|²``; a caller adds that back, or moves it to the
     other side of a comparison. Each block is one GEMM of ``[a, 1]`` against
     the row-major ``[-2bᵀ; |b|²]``, built once per call (the inner-product
-    form that FAISS uses), so no (M, N) matrix is ever built. Blocks hold
-    ``_BLOCK_BYTES`` of float64. The last bits depend on the block bounds
-    and the operand layout, because a GEMM rounds differently at other
-    shapes. ``h`` is a reused buffer, valid only until the next block is
-    drawn.
+    form that FAISS uses), so no (M, N) matrix is ever built. The arithmetic
+    runs in ``a``'s dtype, which ``b`` must share, and a block holds
+    ``_BLOCK_BYTES`` of it. The last bits depend on the block bounds and the
+    operand layout, because a GEMM rounds differently at other shapes. ``h``
+    is a reused buffer, valid only until the next block is drawn.
     """
     m, d = a.shape
     n = b.shape[0]
-    right = np.empty((d + 1, n))
+    right = np.empty((d + 1, n), dtype=a.dtype)
     np.multiply(b.T, -2.0, out=right[:d])
-    right[d] = np.sum(b * b, axis=1)
-    rows = min(m, max(1, _BLOCK_BYTES // (8 * max(n, 1))))
-    left = np.ones((rows, d + 1))
-    buf = np.empty((rows, n))
+    np.sum(b * b, axis=1, out=right[d])
+    rows = min(m, max(1, _BLOCK_BYTES // (a.itemsize * max(n, 1))))
+    left = np.ones((rows, d + 1), dtype=a.dtype)
+    buf = np.empty((rows, n), dtype=a.dtype)
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
         left[: hi - lo, :d] = a[lo:hi]

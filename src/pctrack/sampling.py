@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import shifted_sq_dist_blocks
+from .geometry import _BLOCK_BYTES, shifted_sq_dist_blocks
 
 
 @dataclass(frozen=True)
@@ -124,31 +124,153 @@ def sample_ffps(features: np.ndarray, k: int, start_index: int = 0) -> SampleSel
     return _greedy_farthest(np.asarray(features, dtype=np.float64), k, start_index, "ffps")
 
 
-def ras_scores(search_feats: np.ndarray, template_feats: np.ndarray) -> np.ndarray:
-    """Per-search-point distance to the nearest template feature row.
+# Float32 unit round-off, and the largest squared row norm the float32 filter
+# of ``ras_scores`` takes: |x| <= 2^40, far from float32 overflow.
+_U32 = 2.0 ** -24
+_NORM_LIMIT = 2.0 ** 80
 
-    min_j |s - t_j|² = |s|² + min_j (|t_j|² - 2·s·t_j): the right-hand
-    minimum is taken block by block over ``shifted_sq_dist_blocks``, then
-    ``|s|²`` is added once and round-off below zero is clamped before the
-    square root.
+
+def pair_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``Σ_c (a_ic - b_ic)²`` for each row pair of two (P, d) arrays.
+
+    The one definition of a relation score's square: float64 differences of
+    the inputs, squared and summed along each contiguous row, so a pair's
+    bits do not depend on which other pairs share the call.
     """
-    s = np.asarray(search_feats, dtype=np.float64)
-    t = np.asarray(template_feats, dtype=np.float64)
+    diff = np.subtract(a, b, dtype=np.float64)
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def _exhaustive_scores(s: np.ndarray, t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Scores of ``rows`` against every template row, a few rows at a time."""
+    n = t.shape[0]
+    step = max(1, (1 << 16) // n)
+    out = np.empty(rows.shape[0])
+    for lo in range(0, rows.shape[0], step):
+        r = rows[lo:lo + step]
+        d2 = pair_sq_dist(np.repeat(s[r], n, axis=0), np.tile(t, (r.shape[0], 1)))
+        out[lo:lo + r.shape[0]] = d2.reshape(r.shape[0], n).min(axis=1)
+    return np.sqrt(out)
+
+
+def ras_scores(search_feats: np.ndarray, template_feats: np.ndarray,
+               k: int | None = None) -> np.ndarray:
+    """Distance of each search row to its nearest template row, where it can rank.
+
+    The score is ``v_i = sqrt(min_j pair_sq_dist(s_i, t_j))``. Every row
+    that can be among the k smallest (lowest index first on ties) gets its
+    exact score; every other row reads ``+inf``. ``k=None`` scores all rows.
+
+    A float32 filter finds those rows and pairs. Let ``g_ij`` be the float32
+    GEMM value of ``|t_j|² - 2·s_i·t_j`` (``shifted_sq_dist_blocks`` on
+    float32 copies of the inputs), ``S_i = |s_i|²`` the float32 row norm of a
+    copy, ``R`` the largest ``S_i`` plus the largest template row norm,
+    ``u = 2^-24``, and ``e_ij`` the exact squared score. Then
+
+        |g_ij + S_i - e_ij| <= (4d + 7.01)·u·R,
+
+    because the GEMM's (d + 1)-term dot products and the norms inside it err
+    by at most ``(3d + 2)·u·R``, ``S_i`` by ``d·u·R``, rounding the inputs to
+    float32 moves ``|s - t|²`` by at most ``4.01·u·R``, and float64
+    evaluation moves ``e_ij`` by less than ``u·R``. The filter works with
+
+        E = (4d + 24)·u·R + (d + 1)·2^-100.
+
+    Its ``16.99·u·R`` over the bound is additive slack: it covers the float32
+    bookkeeping below, each of whose roundings is at most ``2.01·u·R``, and
+    keeps square roots strictly ordered. The absolute term covers underflow.
+
+    With ``a_i = min_j g_ij + S_i``, each row's exact minimum lies within
+    ``a_i ± E``, so ``τ``, the k-th smallest ``a_i + E``, bounds the k-th
+    score from above, and a row with ``a_i - E > τ`` cannot rank. Within a
+    row that can, only columns with ``g_ij <= min_j g_ij + 2E`` can hold the
+    minimum, and only those pairs are scored exactly. When the rows span
+    more than one block, they are filtered in the order of their squared
+    distance to the template's per-channel [min, max] box, which bounds
+    every pair's distance from below (in float32 it errs by at most
+    ``(2d + 6)·u·R``), and the filter stops at the first row whose box
+    distance less ``E`` exceeds ``τ``: no later row can rank.
+    Non-finite rows rank after all others. Inputs outside the filter's range
+    (``|x| > 2^40``, a non-finite template) are scored against every
+    template row.
+    """
+    s = np.asarray(search_feats)
+    t = np.asarray(template_feats)
     if t.shape[0] == 0:
         raise ValueError("template feature set is empty")
     if s.shape[1] != t.shape[1]:
         raise ValueError(f"feature widths differ: {s.shape[1]} vs {t.shape[1]}")
-    v = np.empty(s.shape[0])
-    for lo, hi, h in shifted_sq_dist_blocks(s, t):
-        h.min(axis=1, out=v[lo:hi])
-    v += np.sum(s * s, axis=1)
-    np.maximum(v, 0.0, out=v)
+    m, d = s.shape
+    if m == 0:
+        return np.empty(0)
+    n = t.shape[0]
+    k = m if k is None else min(max(k, 1), m)
+    s32, t32 = s, t
+    if s.dtype != np.float32 or t.dtype != np.float32:
+        with np.errstate(over="ignore"):  # out-of-range values read inf
+            s32, t32 = s.astype(np.float32), t.astype(np.float32)
+    sn = np.einsum("ij,ij->i", s32, s32)
+    big_s = float(sn.max())
+    big_t = float(np.einsum("ij,ij->i", t32, t32).max())
+    v = np.full(m, np.inf)
+    if not (big_s <= _NORM_LIMIT and big_t <= _NORM_LIMIT):
+        finite = np.isfinite(s).all(axis=1)
+        if big_t <= _NORM_LIMIT and not (sn[finite] > _NORM_LIMIT).any():
+            v[finite] = ras_scores(s[finite], t, k)
+            rest = np.flatnonzero(~finite) if k > finite.sum() else np.empty(0, np.int64)
+        else:
+            rest = np.arange(m)
+        v[rest] = _exhaustive_scores(s, t, rest)
+        return v
+    e = (4 * d + 24) * _U32 * (big_s + big_t) + (d + 1) * 2.0 ** -100
+    order = None
+    if k < m and m * n * s32.itemsize > _BLOCK_BYTES:
+        gap = np.maximum(s32, t32.min(axis=0))
+        np.minimum(gap, t32.max(axis=0), out=gap)
+        np.subtract(s32, gap, out=gap)  # each row's offset from the box
+        bound = np.einsum("ij,ij->i", gap, gap)
+        order = np.argsort(bound)
+        bound, sn = bound[order], sn[order]
+        s32 = s32.take(order, axis=0)
+    a = np.empty(m, dtype=np.float32)
+    cut = np.inf  # τ + E: no row with a_i > cut can rank
+    rows, cols = [], []
+    several = False  # some row has more than one column in its band
+    for lo, hi, h in shifted_sq_dist_blocks(s32, t32):
+        h_min = h.min(axis=1)
+        keep = None
+        if k < m:
+            np.add(h_min, sn[lo:hi], out=a[lo:hi])
+            if hi >= k:
+                cut = np.partition(a[:hi], k - 1)[k - 1] + 2.0 * e
+                keep = (a[lo:hi] <= cut).nonzero()[0]
+                h, h_min = h[keep], h_min[keep]
+        r, c = np.divmod((h <= (h_min + 2.0 * e)[:, None]).ravel().nonzero()[0], n)
+        several = several or c.shape[0] > h.shape[0]
+        rows.append((r if keep is None else keep[r]) + lo)
+        cols.append(c)
+        if order is not None and hi < m and bound[hi] > cut:
+            break
+    if lo == 0:
+        rows, cols = rows[0], cols[0]
+    else:
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        if k < m:
+            hit = a[rows] <= cut  # rows kept before τ reached its final value
+            rows, cols = rows[hit], cols[hit]
+    if order is not None:
+        rows = order[rows]
+    d2 = pair_sq_dist(s.take(rows, axis=0), t.take(cols, axis=0))
+    if several:
+        np.minimum.at(v, rows, d2)
+    else:
+        v[rows] = d2
     return np.sqrt(v, out=v)
 
 
 def sample_ras(search_feats: np.ndarray, template_feats: np.ndarray, k: int) -> SampleSelection:
     """The k search points most feature-similar to the template."""
-    v = ras_scores(search_feats, template_feats)
+    v = ras_scores(search_feats, template_feats, k)
     order = np.argsort(v, kind="stable").astype(np.int64)
     n = order.shape[0]
     if k <= n:

@@ -6,6 +6,7 @@ import numpy as np
 
 from pctrack.geometry import _BLOCK_BYTES, Box3D, ball_query_padded, points_in_box, to_box_frame
 from pctrack.numeric import relu_backward, relu_forward
+from pctrack.sampling import pair_sq_dist
 
 
 def random_box(rng: np.random.Generator, center_span: float = 3.0) -> Box3D:
@@ -177,11 +178,13 @@ def reference_local_pool_backward(d_pooled, cache):
     return d_feats
 
 
-# Distance stages written out plainly. The relation scores and the shifted
-# squared distances follow the product's definition, row block for row block,
-# and the product must reproduce them bit for bit. The ball query reference
-# is the full-matrix one from before the row-blocked kernel; on the fixtures
-# of its tests the blocked kernel picks exactly the same neighbors.
+# Distance stages written out plainly. The shifted squared distances follow
+# the product's GEMM, row block for row block, and the product must
+# reproduce them bit for bit. The relation scores are the direct-difference
+# definition, every pair scored with the product's one summation expression
+# (``pair_sq_dist``). The ball query reference is the full-matrix one from
+# before the row-blocked kernel; on the fixtures of its tests the blocked
+# kernel picks exactly the same neighbors.
 
 
 def reference_sq_dist(a, b):
@@ -201,10 +204,17 @@ def reference_sq_dist(a, b):
 
 
 def reference_ras_scores(search_feats, template_feats):
-    """sqrt(max(0, |s|² + min_j (|t_j|² - 2·s·t_j)))."""
-    s = np.asarray(search_feats, dtype=np.float64)
-    h_min = reference_sq_dist(s, template_feats).min(axis=1)
-    return np.sqrt(np.maximum(h_min + np.sum(s * s, axis=1), 0.0))
+    """sqrt(min_j pair_sq_dist(s_i, t_j)), every pair scored: NaN for a row
+    with a NaN, +inf for a row with an infinity."""
+    s = np.asarray(search_feats)
+    t = np.asarray(template_feats)
+    m, n = s.shape[0], t.shape[0]
+    d2 = np.empty(m)
+    for lo in range(0, m, 64):
+        rows = s[lo:lo + 64]
+        pairs = pair_sq_dist(np.repeat(rows, n, axis=0), np.tile(t, (rows.shape[0], 1)))
+        d2[lo:lo + 64] = pairs.reshape(rows.shape[0], n).min(axis=1)
+    return np.sqrt(d2)
 
 
 def full_matrix_sq_dist(a, b):

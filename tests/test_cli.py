@@ -136,6 +136,17 @@ def test_eval_oracle_prints_perfect_scores(small_dataset, tmp_path, capsys):
     assert float(rows[-1]["success"]) == pytest.approx(100.0)
 
 
+def test_truncated_cloud_is_validation_error(small_dataset, tmp_path, capsys):
+    import shutil
+
+    data = tmp_path / "ds"
+    shutil.copytree(small_dataset, data)
+    (data / "tracklet_000" / "frame_0001.bin").write_bytes(b"\x01\x00")
+    rc = main(["eval", "--data", str(data), "--oracle", "--out", str(tmp_path / "ev")])
+    assert rc == 1
+    assert "runtime failure" not in capsys.readouterr().err
+
+
 def test_eval_csv_identical_across_runs(small_dataset, tmp_path):
     for name in ("x", "y"):
         rc = main(["eval", "--data", str(small_dataset), "--oracle",

@@ -393,6 +393,27 @@ def test_annotated_scene_loader_reports_bad_lines(tmp_path):
         load_annotated_scenes(tmp_path / "bad.jsonl")
 
 
+def test_every_truncated_cloud_bin_is_a_value_error(tmp_path):
+    """Fuzz: each proper prefix of a cloud file, in both readers."""
+    full = tmp_path / "scan0.bin"
+    _write_cloud_bin(full, np.arange(9.0).reshape(3, 3))
+    raw = full.read_bytes()
+    record = json.dumps({"cloud": "cut.bin", "annotations": []}) + "\n"
+    (tmp_path / "scenes.jsonl").write_text(record)
+    tr = _static_tracklet("car", 1, "c0")
+    save_tracklet(tmp_path / "t0", tr)
+    frame = tmp_path / "t0" / "frame_0000.bin"
+    frame_raw = frame.read_bytes()
+    for cut in range(len(raw)):
+        (tmp_path / "cut.bin").write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match="scenes.jsonl:1"):
+            load_annotated_scenes(tmp_path / "scenes.jsonl")
+    for cut in range(len(frame_raw)):
+        frame.write_bytes(frame_raw[:cut])
+        with pytest.raises(ValueError, match="frame_0000.bin"):
+            load_tracklet(tmp_path / "t0")
+
+
 def test_scenes_to_dataset_end_to_end(tmp_path):
     scenes = [_scene_for_e2e(i) for i in range(4)]
     tracklets = build_tracklets(scenes)

@@ -505,6 +505,22 @@ def test_sq_dist_blocks_cover_every_row_once():
     assert all(h == l for (_, h), (l, _) in zip(spans, spans[1:]))
 
 
+def test_sq_dist_blocks_work_in_the_input_dtype():
+    rng = np.random.default_rng(81)
+    a = rng.normal(size=(3000, 3))
+    b = rng.normal(size=(700, 3))
+    want = reference_sq_dist(a, b)
+    rows = {}
+    for dtype in (np.float64, np.float32):
+        got = np.empty_like(want)
+        for lo, hi, h in shifted_sq_dist_blocks(a.astype(dtype), b.astype(dtype)):
+            assert h.dtype == dtype
+            rows.setdefault(dtype, hi - lo)
+            got[lo:hi] = h
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 if dtype == np.float64 else 1e-4)
+    assert rows[np.float32] == 2 * rows[np.float64]
+
+
 def _direct_neighbors(queries, cloud, radius, max_k):
     """Lowest-index first max_k neighbors by direct-difference distances."""
     out = []

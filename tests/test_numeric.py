@@ -557,6 +557,24 @@ def test_checkpoint_detects_corruption(tmp_path):
         load_checkpoint(path)
 
 
+def test_every_truncated_or_bit_flipped_checkpoint_is_a_value_error(tmp_path):
+    """Fuzz: each proper prefix, and each single-bit flip, of a checkpoint."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
+                           "b": np.ones(2, dtype=np.float32)})
+    raw = path.read_bytes()
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+    for bit in range(8 * len(raw)):
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+
 def test_checkpoint_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"definitely not a checkpoint")

@@ -6,6 +6,7 @@ import pytest
 from pctrack.sampling import (
     SampleSelection,
     dfps_prefix,
+    pair_sq_dist,
     ras_scores,
     sample_dfps,
     sample_ffps,
@@ -217,6 +218,7 @@ def test_ras_scores_match_full_matrix_reference_across_blocks():
     v = ras_scores(search, template)
     np.testing.assert_array_equal(v, reference_ras_scores(search, template))
     np.testing.assert_array_equal(v[::7], v[1::7])
+    assert (v[::7] == 0.0).all()
     # The old full-matrix scores agree to round-off in the squared distance.
     old = np.maximum(full_matrix_sq_dist(search, template), 0.0).min(axis=1)
     np.testing.assert_allclose(v * v, old, rtol=1e-12, atol=1e-12)
@@ -236,6 +238,119 @@ def test_ras_order_matches_direct_difference_oracle_at_level1_size():
     np.testing.assert_array_equal(sample_ras(search, template, 4000).indices, want)
     np.testing.assert_array_equal(ras_scores(search, template),
                                   reference_ras_scores(search, template))
+
+
+@pytest.mark.parametrize("d", [1, 3, 8, 16, 17, 32, 64, 129])
+def test_pair_sq_dist_bits_do_not_depend_on_which_pairs_share_a_call(d):
+    rng = np.random.default_rng(700 + d)
+    scale = 10.0 ** rng.integers(-3, 4, size=(300, 1))
+    a = rng.normal(size=(300, d)) * scale
+    b = a + rng.normal(size=(300, d)) * scale * 1e-3
+    whole = pair_sq_dist(a, b)
+    singles = [pair_sq_dist(a[i:i + 1], b[i:i + 1])[0] for i in range(300)]
+    np.testing.assert_array_equal(whole, singles)
+    pick = rng.permutation(300)[:123]
+    np.testing.assert_array_equal(pair_sq_dist(a[pick], b[pick]), whole[pick])
+    np.testing.assert_array_equal(pair_sq_dist(a[::-1], b[::-1]), whole[::-1])
+    a32, b32 = a.astype(np.float32), b.astype(np.float32)
+    np.testing.assert_array_equal(pair_sq_dist(a32, b32),
+                                  pair_sq_dist(a32.astype(np.float64), b32.astype(np.float64)))
+
+
+def _assert_ranks_like_oracle(search, template, k):
+    """Rows that can rank carry the exact score, the others +inf, and the
+    k smallest (lowest index first) match the direct-difference oracle."""
+    want = reference_ras_scores(search, template)
+    v = ras_scores(search, template, k)
+    m = want.shape[0]
+    top = np.argsort(want, kind="stable")[:m if k is None else k]
+    np.testing.assert_array_equal(v[top], want[top])
+    other = ~((v == want) | (np.isnan(v) & np.isnan(want)))
+    assert (v[other] == np.inf).all()
+    np.testing.assert_array_equal(np.argsort(v, kind="stable")[:top.shape[0]], top)
+    return v
+
+
+def test_ras_scores_match_direct_oracle_on_random_inputs():
+    """Ties from rounding, duplicated rows, both dtypes, scales 1e-3 to 1e3,
+    k from 1 to m, one block."""
+    rng = np.random.default_rng(74)
+    for case in range(120):
+        m, n, d = int(rng.integers(1, 120)), int(rng.integers(1, 60)), int(rng.integers(1, 40))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        grid = [0.5, 0.1, 1e-3, 0.0][case % 4]
+        template = rng.normal(size=(n, d))
+        search = rng.normal(size=(m, d))
+        if grid:
+            template, search = np.round(template / grid) * grid, np.round(search / grid) * grid
+        if case % 3 == 0:
+            template = template[rng.integers(0, n, size=n)]
+            search[::2] = search[: (m + 1) // 2][: search[::2].shape[0]]
+        if case % 5 == 0:
+            search[: m // 3] = template[rng.integers(0, n, size=m // 3)]
+        template, search = template * scale, search * scale
+        if case % 2:
+            template, search = template.astype(np.float32), search.astype(np.float32)
+        for k in (1, int(rng.integers(1, m + 1)), m, None):
+            _assert_ranks_like_oracle(search, template, k)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ras_scores_match_direct_oracle_across_blocks(dtype):
+    """Rows that span several blocks, so the box-ordered row skip runs."""
+    rng = np.random.default_rng(75)
+    template = np.round(np.maximum(rng.normal(size=(420, 6)), 0.0), 1)
+    search = np.round(np.maximum(rng.normal(size=(900, 6)), 0.0), 1)
+    search[:40] = template[:40]
+    template[200:260] = template[:60]
+    search, template = search.astype(dtype), template.astype(dtype)
+    assert search.shape[0] * template.shape[0] * 4 > 1 << 20
+    for k in (1, 17, 64, 300, 899, 900):
+        _assert_ranks_like_oracle(search, template, k)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_non_finite_rows_rank_last(dtype):
+    rng = np.random.default_rng(76)
+    template = rng.normal(size=(9, 5)).astype(dtype)
+    search = rng.normal(size=(40, 5)).astype(dtype)
+    search[3, 2] = np.nan
+    search[17, 0] = np.inf
+    search[25] = -np.inf
+    search[31, 4] = np.nan
+    for k in range(1, 41):
+        v = _assert_ranks_like_oracle(search, template, k)
+    order = np.argsort(v, kind="stable")
+    assert order[-4:].tolist() == [17, 25, 3, 31]
+    assert sample_ras(search, template, 40).indices[-4:].tolist() == [17, 25, 3, 31]
+
+
+def test_inputs_outside_the_filter_range_are_scored_in_full():
+    rng = np.random.default_rng(77)
+    template = rng.normal(size=(12, 4)) * 1e13
+    search = rng.normal(size=(30, 4)) * 1e13
+    search[:5] = template[:5]
+    for k in (1, 7, 30):
+        _assert_ranks_like_oracle(search, template, k)
+    search = rng.normal(size=(30, 4))
+    search[4] = 1e20
+    for k in (1, 29, 30):
+        _assert_ranks_like_oracle(search, rng.normal(size=(12, 4)), k)
+    template = rng.normal(size=(12, 4))
+    template[2, 1] = np.nan
+    assert np.isnan(_assert_ranks_like_oracle(search, template, 5)).all()
+
+
+def test_relation_scores_stay_sparse_at_level1_size():
+    """Work guard at the level-1 shape of a dense crop: 4000 search rows, a
+    1600-row template, 32 channels, k = 256. Only rows that can rank are
+    scored; the others read +inf."""
+    rng = np.random.default_rng(78)
+    template = np.maximum(rng.normal(size=(1600, 32)), 0.0).astype(np.float32)
+    search = np.maximum(rng.normal(size=(4000, 32)), 0.0).astype(np.float32)
+    search[:90] = template[:90]
+    v = _assert_ranks_like_oracle(search, template, 256)
+    assert np.isfinite(v).sum() <= 512
 
 
 # ---------------------------------------------------------------- RAS selection
