@@ -7,7 +7,7 @@ of each level is resolved first.
 
 Backward passes are hand-written. Centroid selection and neighbor grouping
 are discrete and carry no gradient; features flow through the shared
-per-neighbor MLPs and the max-pool.
+per-neighbor layers and the max-pool.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from .numeric import (
     jagged_max_forward,
     jagged_max_winners,
     jagged_winner_hits,
-    max_pool_forward,
-    max_pool_winners,
     relu_backward,
     relu_forward,
     scatter_rows,
@@ -61,14 +59,14 @@ class SALevelSpec:
     radius: float
     out_template: int
     out_search: int
-    mlp_dims: tuple[int, ...]
+    channels: int
     max_neighbors: int = 32
 
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("radius must be positive")
-        if not self.mlp_dims:
-            raise ValueError("mlp_dims must name at least one width")
+        if self.channels < 1:
+            raise ValueError("channels must be >= 1")
         if self.max_neighbors < 1:
             raise ValueError("max_neighbors must be >= 1")
         if self.out_template < 1 or self.out_search < 1:
@@ -81,9 +79,9 @@ class BackboneSpec:
 
     embed_dim: int = 32
     levels: tuple[SALevelSpec, ...] = (
-        SALevelSpec(radius=0.3, out_template=256, out_search=512, mlp_dims=(64,)),
-        SALevelSpec(radius=0.5, out_template=128, out_search=256, mlp_dims=(128,)),
-        SALevelSpec(radius=0.7, out_template=64, out_search=128, mlp_dims=(256,)),
+        SALevelSpec(radius=0.3, out_template=256, out_search=512, channels=64),
+        SALevelSpec(radius=0.5, out_template=128, out_search=256, channels=128),
+        SALevelSpec(radius=0.7, out_template=64, out_search=128, channels=256),
     )
     template_sampler: str = "dfps"
     search_sampler: str = "hybrid"
@@ -97,7 +95,7 @@ class BackboneSpec:
 
     @property
     def out_channels(self) -> int:
-        return self.levels[-1].mlp_dims[-1]
+        return self.levels[-1].channels
 
 
 def select_points(method: str, coords: np.ndarray, feats: np.ndarray,
@@ -125,148 +123,90 @@ def select_points(method: str, coords: np.ndarray, feats: np.ndarray,
 class SetAbstraction:
     """Group-and-pool encoder for one level, shared between branches.
 
-    Each centroid gathers up to ``max_neighbors`` ball-query neighbors;
-    every neighbor is encoded from (its feature row ++ its centroid-relative
-    coordinates) by a shared per-neighbor MLP, and the group max-pools to a
-    single output row. The first layer's matmul is split into a per-point
-    part (computed once per source point) and a per-neighbor relative part,
-    which is the same arithmetic at a fraction of the cost.
+    Each centroid gathers up to ``max_neighbors`` ball-query neighbors. Each
+    real neighbor (a hit) is encoded from (its feature row ++ its
+    centroid-relative coordinates) by one shared Linear, an optional BN and
+    a ReLU, and each group max-pools to one output row. The Linear's matmul
+    is split into a per-point part, computed once per source point, and a
+    per-hit relative part: the same arithmetic at a fraction of the cost.
 
-    The max-pool takes values; each channel's winner is its first maximum
-    along the neighbor axis, and the backward recovers the winners itself.
-    A level of one Linear without BN (``pool_first``) encodes only the real
-    neighbors, in the jagged layout of ``numeric.jagged_layout``, pools the
-    pre-activations and applies ReLU after the pool, which gives the same
-    values because ReLU is monotone. Its backward then writes only the
-    m·c winner entries. Deeper or normalized levels rectify every neighbor
-    of the padded (m, k) grid before the pool, since BN's batch statistics
-    count the pad rows, and run the dense backward.
+    Hits are laid out as in ``numeric.jagged_layout``; the pad slots of the
+    padded (m, k) grid repeat a row's first hit and cannot change its max.
+    Without BN the level pools the pre-activations and rectifies the m
+    pooled rows (ReLU is monotone, so it commutes with max), and the
+    backward writes only the m·c winner entries. With BN, whose gamma can be
+    negative, every hit is normalised and rectified before the pool. BN's
+    batch statistics are those of the padded grid: each row's first hit
+    counts 1 + (k − count) times.
     """
 
     def __init__(self, in_ch: int, spec: SALevelSpec, rng: np.random.Generator,
                  name: str, dtype=np.float32, use_bn: bool = False):
         self.spec = spec
         self.in_ch = in_ch
-        dims = [in_ch + 3, *spec.mlp_dims]
-        self.layers = [
-            Linear(dims[i], dims[i + 1], rng, name=f"{name}.{i}", dtype=dtype)
-            for i in range(len(spec.mlp_dims))
-        ]
-        self.norms = [
-            BatchNorm(w, name=f"{name}.{i}.bn", dtype=dtype) if use_bn else None
-            for i, w in enumerate(spec.mlp_dims)
-        ]
-        self.pool_first = len(self.layers) == 1 and not use_bn
+        self.linear = Linear(in_ch + 3, spec.channels, rng, name=f"{name}.0", dtype=dtype)
+        self.norm = BatchNorm(spec.channels, name=f"{name}.0.bn", dtype=dtype) if use_bn else None
 
     def params(self) -> list[Param]:
-        out = []
-        for lin, norm in zip(self.layers, self.norms):
-            out.extend(lin.params())
-            if norm is not None:
-                out.extend(norm.params())
-        return out
+        return self.linear.params() + (self.norm.params() if self.norm is not None else [])
 
     def buffers(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for norm in self.norms:
-            if norm is not None:
-                out.update(norm.buffers())
-        return out
+        return self.norm.buffers() if self.norm is not None else {}
 
     def forward(self, coords: np.ndarray, feats: np.ndarray,
                 selection: SampleSelection, training: bool = False):
         sel = selection.indices
         centroids = coords[sel]
-        # A centroid is always within radius of itself, so neighborhoods are
-        # never empty; fill_idx only matters for padded duplicate centroids.
+        # A centroid is always within radius of itself, so every row has a
+        # hit; fill_idx only matters for padded duplicate centroids.
         idx, counts = ball_query_padded(
             centroids, coords, self.spec.radius, self.spec.max_neighbors, fill_idx=sel)
-        m, k = idx.shape
-
-        first = self.layers[0]
-        w_feat = first.weight.value[:, : self.in_ch]
-        w_rel = first.weight.value[:, self.in_ch:]
-        point_part = feats @ w_feat.T
-
-        if self.pool_first:
-            # Only the real neighbors enter: the pad slots repeat a row's
-            # first neighbor and cannot change its max. ReLU is monotone, so
-            # it commutes with max: pool the pre-activations and rectify only
-            # the m pooled rows, back in centroid order.
-            order, src, rowpos, sizes = jagged_layout(idx, counts)
-            rel = (coords[src] - centroids[order[rowpos]]).astype(feats.dtype)
-            z = point_part[src]
-            z += rel @ w_rel.T
-            z += first.bias.value
-            top = jagged_max_forward(z, sizes)
-            pooled = np.empty_like(top)
-            pooled[order] = top
+        order, src, rowpos, sizes = jagged_layout(idx, counts)
+        rel = (coords[src] - centroids[order[rowpos]]).astype(feats.dtype)
+        w_feat = self.linear.weight.value[:, : self.in_ch]
+        w_rel = self.linear.weight.value[:, self.in_ch:]
+        z = (feats @ w_feat.T)[src]
+        z += rel @ w_rel.T
+        z += self.linear.bias.value
+        c_norm = None
+        if self.norm is not None:
+            weights = np.ones(src.size, dtype=z.dtype)
+            weights[: sizes[0]] += idx.shape[1] - counts[order[: sizes[0]]]
+            z, c_norm = self.norm.forward(z, training, weights)
+            z, _ = relu_forward(z)
+        top = jagged_max_forward(z, sizes)
+        pooled = np.empty_like(top)
+        pooled[order] = top
+        if self.norm is None:
             pooled, _ = relu_forward(pooled)
-            layer_caches = None
-            c_pool = (order, src, sizes, z, top)
-        else:
-            rel = (coords[idx] - centroids[:, None, :]).astype(feats.dtype)
-            z = point_part[idx] + rel @ w_rel.T + first.bias.value
-            z = z.reshape(m * k, -1)
-            layer_caches = []
-            for i, (lin, norm) in enumerate(zip(self.layers, self.norms)):
-                if i > 0:
-                    z, c_lin = lin.forward(z)
-                else:
-                    c_lin = None
-                c_norm = None
-                if norm is not None:
-                    z, c_norm = norm.forward(z, training)
-                z, c_act = relu_forward(z)
-                layer_caches.append((c_lin, c_norm, c_act))
-            pooled, c_pool = max_pool_forward(z.reshape(m, k, -1))
-        cache = (idx, rel, feats, layer_caches, c_pool, pooled)
+        cache = (order, src, sizes, rel, feats, z, top, c_norm, pooled)
         return (centroids, pooled), cache
 
     def backward(self, d_pooled: np.ndarray, cache) -> np.ndarray:
         """Returns the gradient w.r.t. the level's input features."""
-        idx, rel, feats, layer_caches, c_pool, pooled = cache
-        if layer_caches is None:
+        order, src, sizes, rel, feats, z, top, c_norm, pooled = cache
+        hits = jagged_winner_hits(jagged_max_winners(z, top, sizes), sizes)
+        if self.norm is None:
             # Only each channel's winner carries gradient, so work on the m·c
-            # winners alone: their source points, their rows of rel. The
-            # winners go back to centroid order first, so the sums below run
-            # in the same order as over the padded layout.
-            order, src, sizes, z, top = c_pool
-            hits = jagged_winner_hits(jagged_max_winners(z, top, sizes), sizes)
+            # winners alone, back in centroid order so that the sums below
+            # run in the same order as over the padded layout.
             win = np.empty_like(hits)
             win[order] = hits
             dz = relu_backward(d_pooled, pooled)
             g = scatter_rows(dz, src[win], feats.shape[0])
             d_w_rel = np.einsum("mo,mor->or", dz, rel[win])
-            d_bias = dz.sum(axis=0)
         else:
-            arg = max_pool_winners(c_pool)
-            m, c_last = arg.shape
-            rows = np.arange(m)[:, None]
-            k = idx.shape[1]
-            dz_group = np.zeros((m, k, c_last), dtype=d_pooled.dtype)
-            dz_group[rows, arg, np.arange(c_last)[None, :]] = d_pooled
-            dz = dz_group.reshape(m * k, c_last)
-            for i in range(len(self.layers) - 1, -1, -1):
-                c_lin, c_norm, c_act = layer_caches[i]
-                dz = relu_backward(dz, c_act)
-                if self.norms[i] is not None:
-                    dz = self.norms[i].backward(dz, c_norm)
-                if i > 0:
-                    dz = self.layers[i].backward(dz, c_lin)
-            dz = dz.reshape(m, k, -1)
-            # Scatter per-neighbor gradients back onto source points; the
-            # aggregate serves both the weight and the feature gradient.
-            g = np.zeros((feats.shape[0], dz.shape[2]), dtype=dz.dtype)
-            np.add.at(g, idx.reshape(-1), dz.reshape(-1, dz.shape[2]))
-            d_w_rel = np.einsum("mko,mkr->or", dz, rel)
-            d_bias = dz.sum(axis=(0, 1))
-
-        first = self.layers[0]
-        w_feat = first.weight.value[:, : self.in_ch]
-        first.weight.grad[:, : self.in_ch] += g.T @ feats
-        first.weight.grad[:, self.in_ch:] += d_w_rel
-        first.bias.grad += d_bias
+            # BN's batch statistics reach every hit.
+            dz = np.zeros_like(z)
+            dz[hits, np.arange(z.shape[1])] = d_pooled[order]
+            dz = self.norm.backward(relu_backward(dz, z), c_norm)
+            g = np.zeros((feats.shape[0], dz.shape[1]), dtype=dz.dtype)
+            np.add.at(g, src, dz)
+            d_w_rel = dz.T @ rel
+        w_feat = self.linear.weight.value[:, : self.in_ch]
+        self.linear.weight.grad[:, : self.in_ch] += g.T @ feats
+        self.linear.weight.grad[:, self.in_ch:] += d_w_rel
+        self.linear.bias.grad += dz.sum(axis=0)
         return g @ w_feat
 
 
@@ -291,7 +231,7 @@ class Backbone:
         for i, lv in enumerate(spec.levels):
             self.levels.append(SetAbstraction(in_ch, lv, rng, f"{name}.sa{i}",
                                               dtype=dtype, use_bn=spec.use_bn))
-            in_ch = lv.mlp_dims[-1]
+            in_ch = lv.channels
 
     def params(self) -> list[Param]:
         out = self.embed.params()

@@ -269,9 +269,9 @@ def _tiny_check_spec(**kw) -> ModelSpec:
     backbone = BackboneSpec(
         embed_dim=4,
         levels=(
-            SALevelSpec(radius=0.8, out_template=6, out_search=8, mlp_dims=(6,),
+            SALevelSpec(radius=0.8, out_template=6, out_search=8, channels=6,
                         max_neighbors=4),
-            SALevelSpec(radius=1.2, out_template=4, out_search=6, mlp_dims=(8,),
+            SALevelSpec(radius=1.2, out_template=4, out_search=6, channels=8,
                         max_neighbors=4),
         ),
     )
@@ -355,22 +355,25 @@ def gradient_suite() -> list[CheckResult]:
 
     add("point-relation-transformer", grad_check(prt_fn, prt.params()))
 
-    level = SetAbstraction(4, SALevelSpec(radius=1.0, out_template=4, out_search=4,
-                                          mlp_dims=(5,), max_neighbors=3),
-                           np.random.default_rng(3), name="sa", dtype=np.float64)
     coords = rng.uniform(-1, 1, size=(7, 3))
     feats = rng.normal(size=(7, 4))
     sel = SampleSelection(indices=np.arange(4), method="dfps")
     ws = rng.normal(size=(4, 5))
+    for use_bn in (False, True):
+        level = SetAbstraction(4, SALevelSpec(radius=1.0, out_template=4, out_search=4,
+                                              channels=5, max_neighbors=3),
+                               np.random.default_rng(3), name="sa", dtype=np.float64,
+                               use_bn=use_bn)
 
-    def sa_fn():
-        for p in level.params():
-            p.zero_grad()
-        (_, y), cache = level.forward(coords, feats, sel)
-        level.backward(ws, cache)
-        return float((ws * y).sum())
+        def sa_fn():
+            for p in level.params():
+                p.zero_grad()
+            (_, y), cache = level.forward(coords, feats, sel, training=use_bn)
+            level.backward(ws, cache)
+            return float((ws * y).sum())
 
-    add("set-abstraction", grad_check(sa_fn, level.params()))
+        add("set-abstraction" + ("+batchnorm" if use_bn else ""),
+            grad_check(sa_fn, level.params()))
 
     add("full-model", full_model_gradient_error())
     add("full-model-cosine", full_model_gradient_error(use_prt=False))

@@ -8,11 +8,16 @@ matcher replacement, refinement stage on/off, attention toggles).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field, fields
 
 from .backbone import SAMPLER_NAMES, BackboneSpec, SALevelSpec, check_template_sampler
 from .heads import HeadSpec
 from .model import ModelSpec, TrackerModel
+
+
+def _as_tuple(value) -> tuple:
+    return value if isinstance(value, tuple) else (value,)
 
 
 @dataclass
@@ -48,6 +53,15 @@ class RunConfig:
     distort_range_m: float = 0.3
 
     def validate(self):
+        for f in fields(self):
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in _as_tuple(getattr(self, f.name))):
+                raise ValueError(f"{f.name} must be finite")
+        for name in ("embed_dim", "sa_channels", "coarse_hidden", "refine_hidden"):
+            if min(_as_tuple(getattr(self, name)), default=1) < 1:
+                raise ValueError(f"{name} widths must be >= 1")
+        if min(self.sa_radii + (self.pool_radius,), default=1.0) <= 0:
+            raise ValueError("sa_radii and pool_radius must be positive")
         if not (len(self.sa_radii) == len(self.sa_template_points)
                 == len(self.sa_search_points) == len(self.sa_channels)):
             raise ValueError("per-level model lists must have equal lengths")
@@ -64,6 +78,11 @@ class RunConfig:
             raise ValueError("lam must be >= 0")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        if self.lr_divisor <= 0:
+            raise ValueError("lr_divisor must be positive")
+        for name in ("template_extend_ratio", "search_margin_m", "distort_range_m"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
         if self.search_sampler == "hybrid" and any(k % 2 for k in self.sa_search_points):
@@ -213,7 +232,7 @@ def load_config(path, base: RunConfig | None = None) -> RunConfig:
 def build_model_spec(cfg: RunConfig) -> ModelSpec:
     cfg.validate()
     levels = tuple(
-        SALevelSpec(radius=r, out_template=t, out_search=s, mlp_dims=(c,),
+        SALevelSpec(radius=r, out_template=t, out_search=s, channels=c,
                     max_neighbors=cfg.sa_max_neighbors)
         for r, t, s, c in zip(cfg.sa_radii, cfg.sa_template_points,
                               cfg.sa_search_points, cfg.sa_channels)

@@ -39,36 +39,22 @@ def _as_xyz(points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """N points with optional per-point feature rows.
-
-    coords: (N, 3) float array of xyz positions.
-    features: optional (N, C) float array aligned row-for-row with coords.
-    """
+    """N points: ``coords`` is an (N, 3) float array of xyz positions."""
 
     coords: np.ndarray
-    features: np.ndarray | None = None
 
     def __post_init__(self):
         coords = np.asarray(self.coords, dtype=np.float64).reshape(-1, 3)
         object.__setattr__(self, "coords", coords)
         if not np.isfinite(coords).all():
             raise ValueError("point coordinates must be finite")
-        if self.features is not None:
-            feats = np.asarray(self.features, dtype=np.float64)
-            if feats.ndim != 2 or feats.shape[0] != coords.shape[0]:
-                raise ValueError(
-                    f"features shape {feats.shape} does not match {coords.shape[0]} points"
-                )
-            object.__setattr__(self, "features", feats)
 
     @property
     def n(self) -> int:
         return self.coords.shape[0]
 
     def subset(self, indices) -> "PointCloud":
-        idx = np.asarray(indices, dtype=np.int64)
-        feats = self.features[idx] if self.features is not None else None
-        return PointCloud(self.coords[idx], feats)
+        return PointCloud(self.coords[np.asarray(indices, dtype=np.int64)])
 
 
 @dataclass(frozen=True)

@@ -106,10 +106,18 @@ class BatchNorm:
         return {f"{self.name}.running_mean": self.running_mean,
                 f"{self.name}.running_var": self.running_var}
 
-    def forward(self, x: np.ndarray, training: bool):
+    def forward(self, x: np.ndarray, training: bool, weights: np.ndarray | None = None):
+        """``weights`` (one per row) count rows that many times in the batch
+        statistics."""
+        n = x.shape[0]
         if training:
-            mu = x.mean(axis=0)
-            var = x.var(axis=0)
+            if weights is None:
+                mu = x.mean(axis=0)
+                var = x.var(axis=0)
+            else:
+                n = weights.sum()
+                mu = weights @ x / n
+                var = weights @ np.square(x - mu) / n
             m = self.momentum
             self.running_mean = ((1 - m) * self.running_mean + m * mu).astype(
                 self.running_mean.dtype)
@@ -120,19 +128,23 @@ class BatchNorm:
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mu) * inv_std
         y = self.gamma.value * xhat + self.beta.value
-        return y, (xhat, inv_std, training, x.shape[0])
+        return y, (xhat, inv_std, training, n, weights)
 
     def backward(self, dy: np.ndarray, cache) -> np.ndarray:
-        xhat, inv_std, training, n = cache
+        xhat, inv_std, training, n, weights = cache
         self.gamma.grad += (dy * xhat).sum(axis=0)
         self.beta.grad += dy.sum(axis=0)
         dxhat = dy * self.gamma.value
         if not training:
             return dxhat * inv_std
-        # Batch statistics were part of the forward, so they get gradients too.
-        return (inv_std / n) * (
-            n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
-        )
+        # Batch statistics were part of the forward, so they get gradients
+        # too; a row counted w times there takes w times their share.
+        d_sum = dxhat.sum(axis=0)
+        dx_sum = (dxhat * xhat).sum(axis=0)
+        if weights is None:
+            return (inv_std / n) * (n * dxhat - d_sum - xhat * dx_sum)
+        w = weights[:, None]
+        return (inv_std / n) * (n * dxhat - w * d_sum - w * xhat * dx_sum)
 
 
 class MLP:
@@ -218,22 +230,6 @@ def relu_forward(x: np.ndarray):
 
 def relu_backward(dy: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.where(out > 0, dy, 0.0)
-
-
-def max_pool_forward(x: np.ndarray):
-    """Max over the middle axis of an (M, K, C) stack, by value.
-
-    The cache holds the input and the pooled values; the backward recovers
-    each channel's winner from them, so the forward never pays for argmax.
-    """
-    top = x.max(axis=1)
-    return top, (x, top)
-
-
-def max_pool_winners(cache) -> np.ndarray:
-    """(M, C) position along K of each channel's first maximum, as argmax picks it."""
-    x, top = cache
-    return (x == top[:, None, :]).argmax(axis=1)
 
 
 def jagged_layout(idx: np.ndarray, counts: np.ndarray):

@@ -101,7 +101,8 @@ def foreground_fixture(rng: np.random.Generator, n_search: int = 160, fg_frac: f
 
 
 def reference_sa_forward(sa, coords, feats, selection, training=False):
-    """Dense set-abstraction level: rectify every neighbor, argmax-pool.
+    """Padded set-abstraction level: encode all m·k slots of the padded
+    grid (BN statistics over all of them), rectify, argmax-pool.
 
     Runs ``sa``'s own layers; returns ((centroids, pooled), cache).
     """
@@ -111,49 +112,37 @@ def reference_sa_forward(sa, coords, feats, selection, training=False):
                                sa.spec.max_neighbors, fill_idx=sel)
     m, k = idx.shape
     rel = (coords[idx] - centroids[:, None, :]).astype(feats.dtype)
-    first = sa.layers[0]
-    w_feat = first.weight.value[:, : sa.in_ch]
-    w_rel = first.weight.value[:, sa.in_ch:]
-    z = (feats @ w_feat.T)[idx] + rel @ w_rel.T + first.bias.value
+    w_feat = sa.linear.weight.value[:, : sa.in_ch]
+    w_rel = sa.linear.weight.value[:, sa.in_ch:]
+    z = (feats @ w_feat.T)[idx] + rel @ w_rel.T + sa.linear.bias.value
     z = z.reshape(m * k, -1)
-    layer_caches = []
-    for i, (lin, norm) in enumerate(zip(sa.layers, sa.norms)):
-        c_lin = c_norm = None
-        if i > 0:
-            z, c_lin = lin.forward(z)
-        if norm is not None:
-            z, c_norm = norm.forward(z, training)
-        z, c_act = relu_forward(z)
-        layer_caches.append((c_lin, c_norm, c_act))
+    c_norm = None
+    if sa.norm is not None:
+        z, c_norm = sa.norm.forward(z, training)
+    z, c_act = relu_forward(z)
     grouped = z.reshape(m, k, -1)
     arg = grouped.argmax(axis=1)
     pooled = np.take_along_axis(grouped, arg[:, None, :], axis=1)[:, 0, :]
-    return (centroids, pooled), (idx, rel, feats, layer_caches, arg)
+    return (centroids, pooled), (idx, rel, feats, c_norm, c_act, arg)
 
 
 def reference_sa_backward(sa, d_pooled, cache):
-    """Dense backward over all m·k neighbor rows; returns the feature gradient."""
-    idx, rel, feats, layer_caches, arg = cache
+    """Padded backward over all m·k neighbor rows; returns the feature gradient."""
+    idx, rel, feats, c_norm, c_act, arg = cache
     m, k = idx.shape
-    c_last = d_pooled.shape[1]
-    dz_group = np.zeros((m, k, c_last), dtype=d_pooled.dtype)
-    dz_group[np.arange(m)[:, None], arg, np.arange(c_last)[None, :]] = d_pooled
-    dz = dz_group.reshape(m * k, c_last)
-    for i in range(len(sa.layers) - 1, -1, -1):
-        c_lin, c_norm, c_act = layer_caches[i]
-        dz = relu_backward(dz, c_act)
-        if sa.norms[i] is not None:
-            dz = sa.norms[i].backward(dz, c_norm)
-        if i > 0:
-            dz = sa.layers[i].backward(dz, c_lin)
-    first = sa.layers[0]
-    dz = dz.reshape(m, k, -1)
-    g = np.zeros((feats.shape[0], dz.shape[2]), dtype=dz.dtype)
-    np.add.at(g, idx.reshape(-1), dz.reshape(-1, dz.shape[2]))
-    first.weight.grad[:, : sa.in_ch] += g.T @ feats
-    first.weight.grad[:, sa.in_ch:] += np.einsum("mko,mkr->or", dz, rel)
-    first.bias.grad += dz.sum(axis=(0, 1))
-    return g @ first.weight.value[:, : sa.in_ch]
+    c = d_pooled.shape[1]
+    dz_group = np.zeros((m, k, c), dtype=d_pooled.dtype)
+    dz_group[np.arange(m)[:, None], arg, np.arange(c)[None, :]] = d_pooled
+    dz = relu_backward(dz_group.reshape(m * k, c), c_act)
+    if sa.norm is not None:
+        dz = sa.norm.backward(dz, c_norm)
+    dz = dz.reshape(m, k, c)
+    g = np.zeros((feats.shape[0], c), dtype=dz.dtype)
+    np.add.at(g, idx.reshape(-1), dz.reshape(-1, c))
+    sa.linear.weight.grad[:, : sa.in_ch] += g.T @ feats
+    sa.linear.weight.grad[:, sa.in_ch:] += np.einsum("mko,mkr->or", dz, rel)
+    sa.linear.bias.grad += dz.sum(axis=(0, 1))
+    return g @ sa.linear.weight.value[:, : sa.in_ch]
 
 
 def reference_local_pool_forward(queries, cloud_coords, cloud_feats, radius):

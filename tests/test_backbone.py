@@ -20,8 +20,8 @@ from helpers import reference_sa_backward, reference_sa_forward
 TINY_SPEC = BackboneSpec(
     embed_dim=4,
     levels=(
-        SALevelSpec(radius=0.8, out_template=6, out_search=8, mlp_dims=(6,), max_neighbors=4),
-        SALevelSpec(radius=1.2, out_template=4, out_search=6, mlp_dims=(8,), max_neighbors=4),
+        SALevelSpec(radius=0.8, out_template=6, out_search=8, channels=6, max_neighbors=4),
+        SALevelSpec(radius=1.2, out_template=4, out_search=6, channels=8, max_neighbors=4),
     ),
 )
 
@@ -47,13 +47,13 @@ def test_sa_single_point_self_neighborhood():
     """With one point, the group is (zero rel coords ++ its own feature)."""
     rng = np.random.default_rng(2)
     sa = SetAbstraction(5, SALevelSpec(radius=0.5, out_template=1, out_search=1,
-                                       mlp_dims=(7,)), rng, "sa", dtype=np.float64)
+                                       channels=7), rng, "sa", dtype=np.float64)
     coords = np.array([[0.3, -0.2, 0.1]])
     feats = rng.normal(size=(1, 5))
     sel = SampleSelection(np.array([0]), "dfps")
     (cent, pooled), _ = sa.forward(coords, feats, sel)
     np.testing.assert_array_equal(cent, coords)
-    lin = sa.layers[0]
+    lin = sa.linear
     by_hand = np.concatenate([feats[0], np.zeros(3)]) @ lin.weight.value.T + lin.bias.value
     np.testing.assert_allclose(pooled[0], np.maximum(by_hand, 0.0), atol=1e-12)
 
@@ -61,7 +61,7 @@ def test_sa_single_point_self_neighborhood():
 def test_sa_output_row_count_matches_selection():
     rng = np.random.default_rng(3)
     sa = SetAbstraction(4, SALevelSpec(radius=0.7, out_template=5, out_search=5,
-                                       mlp_dims=(6, 6)), rng, "sa", dtype=np.float64)
+                                       channels=6), rng, "sa", dtype=np.float64)
     coords = rng.normal(scale=0.4, size=(20, 3))
     feats = rng.normal(size=(20, 4))
     for k in (1, 5, 12):
@@ -75,7 +75,7 @@ def test_sa_pool_invariant_under_point_reordering():
     """Permuting the source points permutes groups but not pooled values."""
     rng = np.random.default_rng(4)
     sa = SetAbstraction(4, SALevelSpec(radius=0.9, out_template=3, out_search=3,
-                                       mlp_dims=(8,), max_neighbors=16),
+                                       channels=8, max_neighbors=16),
                         rng, "sa", dtype=np.float64)
     coords = rng.normal(scale=0.4, size=(16, 3))
     feats = rng.normal(size=(16, 4))
@@ -94,15 +94,15 @@ def test_sa_split_matmul_matches_plain_concat():
     """The split first-layer trick must equal the naive concat matmul."""
     rng = np.random.default_rng(5)
     sa = SetAbstraction(6, SALevelSpec(radius=1.0, out_template=4, out_search=4,
-                                       mlp_dims=(9,), max_neighbors=8),
+                                       channels=9, max_neighbors=8),
                         rng, "sa", dtype=np.float64)
     coords = rng.normal(scale=0.5, size=(12, 3))
     feats = rng.normal(size=(12, 6))
     sel = SampleSelection(np.array([0, 3, 6, 9]), "dfps")
-    (_, pooled), cache = sa.forward(coords, feats, sel)
+    (_, pooled), _ = sa.forward(coords, feats, sel)
 
-    idx = cache[0]
-    lin = sa.layers[0]
+    idx, _ = ball_query_padded(coords[sel.indices], coords, 1.0, 8)
+    lin = sa.linear
     naive = np.empty((4, idx.shape[1], 9))
     for a in range(4):
         for b in range(idx.shape[1]):
@@ -112,19 +112,17 @@ def test_sa_split_matmul_matches_plain_concat():
 
 
 @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
-@pytest.mark.parametrize("use_bn", [False, True], ids=["plain", "bn"])
-@pytest.mark.parametrize("mlp_dims", [(5,), (5, 4)], ids=["1layer", "2layer"])
-def test_sa_grad_check(mlp_dims, use_bn, training):
-    """Weight gradients on both SA paths: pool-then-ReLU and dense (deep or BN)."""
+@pytest.mark.parametrize("use_bn", [False, True], ids=["1layer-plain", "1layer-bn"])
+def test_sa_grad_check(use_bn, training):
+    """Weight gradients of the pool-then-ReLU level and of the BN level."""
     rng = np.random.default_rng(6)
     sa = SetAbstraction(3, SALevelSpec(radius=1.0, out_template=3, out_search=3,
-                                       mlp_dims=mlp_dims, max_neighbors=4),
+                                       channels=5, max_neighbors=4),
                         rng, "sa", dtype=np.float64, use_bn=use_bn)
-    assert sa.pool_first == (len(mlp_dims) == 1 and not use_bn)
     coords = rng.normal(scale=0.5, size=(9, 3))
     feats = rng.normal(size=(9, 3))
     sel = sample_dfps(coords, 3)
-    w_loss = rng.normal(size=(3, mlp_dims[-1]))
+    w_loss = rng.normal(size=(3, 5))
 
     def fn():
         for p in sa.params():
@@ -139,7 +137,7 @@ def test_sa_grad_check(mlp_dims, use_bn, training):
 def test_sa_input_feature_gradient():
     rng = np.random.default_rng(7)
     sa = SetAbstraction(4, SALevelSpec(radius=1.2, out_template=2, out_search=2,
-                                       mlp_dims=(6,), max_neighbors=8),
+                                       channels=6, max_neighbors=8),
                         rng, "sa", dtype=np.float64)
     coords = rng.normal(scale=0.4, size=(7, 3))
     from pctrack.numeric import Param
@@ -159,30 +157,21 @@ def test_sa_input_feature_gradient():
     assert grad_check(fn, [feats]) < 1e-5
 
 
-@pytest.mark.parametrize("mlp_dims,use_bn,training,max_neighbors", [
-    ((6,), False, False, 6),
-    ((6,), False, True, 6),
-    ((5, 4), False, False, 6),
-    ((6,), True, False, 6),
-    ((6,), True, True, 6),
-    ((6,), False, True, 32),
-], ids=["1layer", "1layer-train", "2layer", "bn", "bn-train", "1layer-train-k32"])
-def test_sa_matches_dense_argmax_reference_bitwise(mlp_dims, use_bn, training,
-                                                   max_neighbors):
-    """Value pooling and the winner-only backward equal the dense argmax
-    algorithm bit for bit in float32, across padded centroids, tied padded
-    neighborhoods and channels that are <= 0 in every neighbor. At 32
-    neighbors most slots are padding, as at the operating point."""
+def run_sa_against_padded_reference(dtype, use_bn, training, max_neighbors,
+                                    ref_dtype=None):
+    """One SA forward and backward by the level and by the padded reference,
+    on a fixture with padded centroids, tied padded neighborhoods and
+    channels that are <= 0 in every neighbor. At 32 neighbors most slots are
+    padding, as at the operating point. The reference runs in ``ref_dtype``
+    (default ``dtype``) on the same inputs and parameter values. Returns
+    both sides' outputs, feature gradients, parameter gradients and
+    buffers."""
+    ref_dtype = ref_dtype or dtype
 
-    def make():
-        sa = SetAbstraction(4, SALevelSpec(radius=0.6, out_template=14, out_search=14,
-                                           mlp_dims=mlp_dims, max_neighbors=max_neighbors),
-                            np.random.default_rng(30), "sa", dtype=np.float32,
-                            use_bn=use_bn)
-        sa.layers[-1].bias.value[:2] = -50.0
-        # Channel 2 ignores the offsets, so points with equal features tie.
-        sa.layers[0].weight.value[2, 4:] = 0.0
-        return sa
+    def make(dt):
+        return SetAbstraction(4, SALevelSpec(radius=0.6, out_template=14, out_search=14,
+                                             channels=6, max_neighbors=max_neighbors),
+                              np.random.default_rng(30), "sa", dtype=dt, use_bn=use_bn)
 
     rng = np.random.default_rng(31)
     # A tight cluster fills neighborhoods; far points leave them padded.
@@ -190,10 +179,15 @@ def test_sa_matches_dense_argmax_reference_bitwise(mlp_dims, use_bn, training,
                                          else (60, 140, 1.5, 64, 12.0))
     coords = np.vstack([rng.normal(scale=0.2, size=(n_near, 3)),
                         rng.uniform(-spread, spread, size=(n_far, 3)) + [9.0, 0.0, 0.0]])
-    coords = coords.astype(np.float32)
-    sa, ref = make(), make()
-    feats = rng.normal(size=(n_near + n_far, 4)).astype(np.float32)
-    feats[[1, 2]] = tie * sa.layers[0].weight.value[2, :4]
+    coords = coords.astype(dtype)
+    sa, ref = make(dtype), make(ref_dtype)
+    sa.linear.bias.value[:2] = -50.0
+    # Channel 2 ignores the offsets, so points with equal features tie.
+    sa.linear.weight.value[2, 4:] = 0.0
+    for p, q in zip(ref.params(), sa.params()):
+        p.value[...] = q.value
+    feats = rng.normal(size=(n_near + n_far, 4)).astype(dtype)
+    feats[[1, 2]] = tie * sa.linear.weight.value[2, :4]
     sel = sample_dfps(coords, n_sel)
     idx, counts = ball_query_padded(coords[sel.indices], coords, 0.6, max_neighbors)
     assert counts.min() == 1 and counts.max() == max_neighbors
@@ -203,24 +197,65 @@ def test_sa_matches_dense_argmax_reference_bitwise(mlp_dims, use_bn, training,
         assert counts.sum() / idx.size < 0.3
         # the tied points share a neighborhood with an earlier neighbor
         assert any(1 in row[1:n] and 2 in row[1:n] for row, n in zip(idx, counts))
-    d_pooled = rng.normal(size=(n_sel, mlp_dims[-1])).astype(np.float32)
+    d_pooled = rng.normal(size=(n_sel, 6)).astype(dtype)
 
-    assert sa.pool_first == (len(mlp_dims) == 1 and not use_bn)
     (_, pooled), cache = sa.forward(coords, feats, sel, training)
     d_feats = sa.backward(d_pooled, cache)
-    (_, pooled_ref), cache_ref = reference_sa_forward(ref, coords, feats, sel, training)
-    d_feats_ref = reference_sa_backward(ref, d_pooled, cache_ref)
-
-    assert pooled.dtype == np.float32 and d_feats.dtype == np.float32
-    if not use_bn:
-        assert not pooled[:, :2].any()
-    np.testing.assert_array_equal(pooled, pooled_ref)
-    np.testing.assert_array_equal(d_feats, d_feats_ref)
-    for p, q in zip(sa.params(), ref.params()):
+    (_, pooled_ref), cache_ref = reference_sa_forward(
+        ref, coords.astype(ref_dtype), feats.astype(ref_dtype), sel, training)
+    d_feats_ref = reference_sa_backward(ref, d_pooled.astype(ref_dtype), cache_ref)
+    assert pooled.dtype == dtype and d_feats.dtype == dtype
+    for p in sa.params():
         assert p.grad.any(), p.name
-        np.testing.assert_array_equal(p.grad, q.grad, err_msg=p.name)
-    for name, buf in sa.buffers().items():
-        np.testing.assert_array_equal(buf, ref.buffers()[name], err_msg=name)
+    ref_bufs = ref.buffers()
+    return ([pooled, d_feats, *(p.grad for p in sa.params()), *sa.buffers().values()],
+            [pooled_ref, d_feats_ref, *(p.grad for p in ref.params()),
+             *(ref_bufs[name] for name in sa.buffers())])
+
+
+@pytest.mark.parametrize("use_bn,training,max_neighbors", [
+    (False, False, 6),
+    (False, True, 6),
+    (True, False, 6),
+    (True, True, 6),
+    (False, True, 32),
+    (True, True, 32),
+], ids=["1layer", "1layer-train", "bn", "bn-train", "1layer-train-k32", "bn-train-k32"])
+def test_sa_matches_dense_argmax_reference_bitwise(use_bn, training, max_neighbors):
+    """Without BN, value pooling and the winner-only backward equal the
+    padded argmax algorithm bit for bit in float32. With BN, eval-mode
+    outputs are bitwise equal and the rest, summed in another order, within
+    1e-3. In training mode the float32 padded reference is itself off by up
+    to 4.5e-3 here (the bias gradient, which BN makes zero, is rounding
+    residue), so the level is held to the padded algorithm run in float64
+    on the same inputs and parameters."""
+    ref_dtype = np.float64 if use_bn and training else np.float32
+    got, want = run_sa_against_padded_reference(np.float32, use_bn, training,
+                                                max_neighbors, ref_dtype)
+    if use_bn:
+        if not training:
+            np.testing.assert_array_equal(got[0], want[0])
+        assert max_rel_err(got, want) < 1e-3
+        return
+    assert not got[0][:, :2].any()
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+@pytest.mark.parametrize("max_neighbors", [6, 32])
+def test_sa_bn_matches_padded_reference_float64(training, max_neighbors):
+    """BN levels in float64: outputs, gradients and running statistics agree
+    with the padded algorithm to 1e-9; eval-mode outputs bit for bit."""
+    got, want = run_sa_against_padded_reference(np.float64, True, training, max_neighbors)
+    if not training:
+        np.testing.assert_array_equal(got[0], want[0])
+    assert max_rel_err(got, want) < 1e-9
+
+
+def max_rel_err(got, want):
+    return max(float((np.abs(a - b) / np.maximum(1.0, np.abs(b))).max())
+               for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("m,in_ch,c", [(512, 32, 64), (256, 64, 128), (128, 128, 256),
@@ -294,7 +329,7 @@ def test_backbone_weight_sharing_is_structural():
     coords_t, coords_s = tiny_clouds(seed=18)
     rng = np.random.default_rng(19)
     (_, xt0, _, xs0, plan), _ = bb.forward(coords_t, coords_s, rng)
-    bb.levels[0].layers[0].weight.value += 0.05
+    bb.levels[0].linear.weight.value += 0.05
     (_, xt1, _, xs1, _), _ = bb.forward(coords_t, coords_s, rng, plan=plan)
     assert not np.allclose(xt0, xt1)
     assert not np.allclose(xs0, xs1)

@@ -232,6 +232,23 @@ def test_counts_below_one_are_validation_errors(override, capsys):
     assert override.split("=")[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [
+    "lam=nan", "lr=inf", "distort_range_m=nan", "lr_divisor=0", "lr_divisor=-1",
+    "coarse_hidden=0", "refine_hidden=0,0", "sa_channels=16,0", "sa_radii=nan,0.8",
+    "sa_radii=inf,0.8", "pool_radius=nan", "template_extend_ratio=-0.5",
+    "search_margin_m=-3", "distort_range_m=-0.3",
+])
+def test_out_of_range_numbers_are_validation_errors(override, small_dataset,
+                                                                 tmp_path, capsys):
+    """Each would crash or stop training, or train at a wrong rate; validation
+    names the field."""
+    rc = main(["train", "--data", str(small_dataset), "--out", str(tmp_path / "run"),
+               "--profile", "tiny", "--epochs", "3", "--set", "lr_step_epochs=1",
+               "--set", override])
+    assert rc == 1
+    assert override.split("=")[0] in capsys.readouterr().err
+
+
 def test_ablation_flag_changes_model(small_dataset, tmp_path):
     runs = {}
     for name, extra in [("base", []), ("ab", ["--ablation", "matcher-cosine"])]:

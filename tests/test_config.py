@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pctrack.backbone import BackboneSpec, SALevelSpec
+from pctrack.backbone import SAMPLER_NAMES, BackboneSpec, SALevelSpec
 from pctrack.config import (
     PROFILES,
     RunConfig,
@@ -14,6 +14,8 @@ from pctrack.config import (
     load_config,
     save_config,
 )
+from pctrack.evaldata import SynthSpec, evaluate, synth_tracklet
+from pctrack.pipeline import train
 
 
 def test_default_config_validates():
@@ -121,7 +123,7 @@ def test_counts_below_one_rejected(override, message):
 
 @pytest.mark.parametrize("field", ["max_neighbors", "out_template", "out_search"])
 def test_sa_level_spec_rejects_counts_below_one(field):
-    kw = dict(radius=0.3, out_template=8, out_search=16, mlp_dims=(8,), max_neighbors=4)
+    kw = dict(radius=0.3, out_template=8, out_search=16, channels=8, max_neighbors=4)
     SALevelSpec(**kw)
     with pytest.raises(ValueError, match=">= 1"):
         SALevelSpec(**{**kw, field: 0})
@@ -142,3 +144,50 @@ def test_odd_counts_fine_for_non_hybrid_sampler():
     cfg = dataclasses.replace(RunConfig(), search_sampler="dfps",
                               sa_search_points=(512, 255, 128))
     cfg.validate()
+
+
+def drawn_config(seed: int) -> RunConfig:
+    """A small config that validates, drawn from ``seed``: 1-3 levels, the
+    samplers and the BN, PRT and PRM switches cycled over the seeds."""
+    rng = np.random.default_rng(seed)
+    levels = int(rng.integers(1, 4))
+
+    def widths(n):
+        return tuple(int(w) for w in rng.integers(2, 17, size=n))
+
+    return RunConfig(
+        embed_dim=int(rng.integers(2, 13)),
+        sa_radii=tuple(float(r) for r in rng.uniform(0.05, 2.0, size=levels)),
+        sa_template_points=tuple(int(n) for n in rng.integers(1, 40, size=levels)),
+        sa_search_points=tuple(2 * int(n) for n in rng.integers(1, 40, size=levels)),
+        sa_channels=widths(levels),
+        sa_max_neighbors=int(rng.integers(1, 20)),
+        template_sampler=("random", "dfps", "ffps")[seed % 3],
+        search_sampler=SAMPLER_NAMES[seed % len(SAMPLER_NAMES)],
+        use_bn=seed % 2 == 0,
+        coarse_hidden=widths(int(rng.integers(0, 3))),
+        refine_hidden=widths(int(rng.integers(0, 5))),
+        pool_radius=float(rng.uniform(0.1, 2.0)),
+        use_prt=seed % 4 < 2,
+        use_prm=seed % 3 != 2,
+        epochs=1,
+        batch_size=int(rng.integers(1, 5)),
+        seed=seed,
+    ).validate()
+
+
+@pytest.fixture(scope="module")
+def two_tiny_tracklets():
+    spec = SynthSpec(n_frames=3, points_on_object=30, n_clutter=20)
+    return [synth_tracklet(spec, seed) for seed in (0, 1)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_every_config_that_validates_trains_and_evaluates(seed, two_tiny_tracklets):
+    cfg = drawn_config(seed)
+    model = build_model(cfg)
+    (row,) = train(two_tiny_tracklets, model, cfg)
+    assert np.isfinite(row["total"])
+    report = evaluate(two_tiny_tracklets, model, seed=cfg.seed)
+    assert report.failures == []
+    assert report.average["frames"] == 4

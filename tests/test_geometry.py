@@ -288,13 +288,6 @@ def test_crop_empty_cloud():
     assert out.n == 0
 
 
-def test_crop_carries_features():
-    coords = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
-    feats = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = crop_template(PointCloud(coords, feats), unit_box(), 0.0)
-    np.testing.assert_array_equal(out.features, [[1.0, 2.0]])
-
-
 def test_crop_rejects_negative_ratio():
     with pytest.raises(ValueError):
         crop_template(PointCloud(np.zeros((1, 3))), unit_box(), -0.1)

@@ -9,16 +9,17 @@ from pctrack.model import ModelOutput, ModelSpec, TrackerModel
 from pctrack.numeric import grad_check
 
 
-def tiny_model_spec(**kw):
+def tiny_model_spec(use_bn=False, **kw):
     backbone = BackboneSpec(
         embed_dim=4,
         levels=(
-            SALevelSpec(radius=0.8, out_template=6, out_search=8, mlp_dims=(6,), max_neighbors=4),
-            SALevelSpec(radius=1.2, out_template=4, out_search=6, mlp_dims=(8,), max_neighbors=4),
+            SALevelSpec(radius=0.8, out_template=6, out_search=8, channels=6, max_neighbors=4),
+            SALevelSpec(radius=1.2, out_template=4, out_search=6, channels=8, max_neighbors=4),
         ),
+        use_bn=use_bn,
     )
     heads = HeadSpec(channels=8, coarse_hidden=(6, 6), refine_hidden=(8, 6, 6, 6),
-                     pool_radius=1.0)
+                     pool_radius=1.0, use_bn=use_bn)
     return ModelSpec(backbone=backbone, heads=heads, **kw)
 
 
@@ -158,7 +159,7 @@ def test_model_checkpoint_rejects_other_architecture(tmp_path):
 # ---------------------------------------------------------------- gradients
 
 
-def full_model_grad_error(spec, n_t=8, n_s=10):
+def full_model_grad_error(spec, n_t=8, n_s=10, training=False):
     model = TrackerModel(spec, init_seed=8, dtype=np.float64)
     ct, cs = tiny_clouds(seed=9, n_t=n_t, n_s=n_s)
     rng = np.random.default_rng(10)
@@ -168,7 +169,7 @@ def full_model_grad_error(spec, n_t=8, n_s=10):
     def fn():
         model.zero_grad()
         out, cache = model.forward(ct, cs, np.random.default_rng(11),
-                                   plan=holder.get("plan"))
+                                   plan=holder.get("plan"), training=training)
         holder["plan"] = out.plan
         if not w:
             w["cc"] = rng.normal(size=out.coarse.cls_logits.shape)
@@ -190,13 +191,19 @@ def full_model_grad_error(spec, n_t=8, n_s=10):
 
 
 def test_full_model_grad_check():
-    """Backbone → attention → both heads, every parameter, one backward."""
+    """Backbone → attention → both heads, every parameter, one backward;
+    also with BN everywhere in training mode, batch statistics included."""
     assert full_model_grad_error(tiny_model_spec()) < 1e-4
+    assert full_model_grad_error(tiny_model_spec(use_bn=True), training=True) < 1e-4
 
 
 def test_full_model_grad_check_cosine_variant():
     assert full_model_grad_error(tiny_model_spec(use_prt=False)) < 1e-4
+    assert full_model_grad_error(tiny_model_spec(use_bn=True, use_prt=False),
+                                 training=True) < 1e-4
 
 
 def test_full_model_grad_check_coarse_only():
     assert full_model_grad_error(tiny_model_spec(use_prm=False)) < 1e-4
+    assert full_model_grad_error(tiny_model_spec(use_bn=True, use_prm=False),
+                                 training=True) < 1e-4

@@ -392,6 +392,31 @@ def test_batchnorm_grad_check_training_mode():
     assert grad_check(fn, [xp] + bn.params()) < 1e-5
 
 
+def test_batchnorm_weights_count_rows_as_repeats():
+    """A row of weight w acts as w copies of itself: forward, running
+    statistics, and gradients summed over the copies, of which only the
+    first receives an upstream gradient."""
+    rng = np.random.default_rng(17)
+    x = rng.normal(loc=2.0, size=(7, 3))
+    w = np.array([4.0, 1.0, 1.0, 3.0, 1.0, 1.0, 2.0])
+    dy = rng.normal(size=(7, 3))
+    reps = w.astype(int)
+    first = np.cumsum(reps) - reps
+    dy_rep = np.zeros((reps.sum(), 3))
+    dy_rep[first] = dy
+    weighted, repeated = BatchNorm(3, dtype=np.float64), BatchNorm(3, dtype=np.float64)
+    y, cache = weighted.forward(x, True, w)
+    y_rep, cache_rep = repeated.forward(np.repeat(x, reps, axis=0), True)
+    dx = weighted.backward(dy, cache)
+    dx_rep = np.add.reduceat(repeated.backward(dy_rep, cache_rep), first)
+    np.testing.assert_allclose(y, y_rep[first], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dx, dx_rep, rtol=0, atol=1e-12)
+    for a, b in zip(weighted.params(), repeated.params()):
+        np.testing.assert_allclose(a.grad, b.grad, rtol=0, atol=1e-12)
+    for name, buf in weighted.buffers().items():
+        np.testing.assert_allclose(buf, repeated.buffers()[name], rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------- MLP
 
 
