@@ -14,7 +14,6 @@ from .config import (
     apply_ablation,
     apply_overrides,
     build_model,
-    build_model_spec,
     config_for_profile,
     load_config,
     save_config,
@@ -34,7 +33,7 @@ from .evaldata import (
     synth_tracklet,
 )
 from .geometry import Box3D, PointCloud, box_iou_3d, points_in_box, wrap_angle
-from .model import ModelSpec, TrackerModel
+from .model import TrackerModel
 from .pipeline import OracleModel, track_sequence, train
 
 __version__ = "0.1.0"
@@ -43,7 +42,6 @@ __all__ = [
     "ABLATIONS",
     "Box3D",
     "EvalReport",
-    "ModelSpec",
     "OracleModel",
     "PROFILES",
     "PointCloud",
@@ -55,7 +53,6 @@ __all__ = [
     "apply_overrides",
     "box_iou_3d",
     "build_model",
-    "build_model_spec",
     "build_tracklets",
     "config_for_profile",
     "evaluate",

@@ -10,8 +10,6 @@ is replacing the whole transformer with a bare cosine matcher.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numeric import (
@@ -26,14 +24,6 @@ from .numeric import (
 )
 
 L2_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class AttentionTrace:
-    """Raw score matrix and its post-softmax weights for one attention call."""
-
-    a: np.ndarray
-    p: np.ndarray
 
 
 class RelationAttention:
@@ -75,17 +65,18 @@ class RelationAttention:
         else:
             qn, kn, c_qn, c_kn = q, k, None, None
         a = qn @ kn.T
-        p, c_p = softmax_rows_forward(a)
+        p, _ = softmax_rows_forward(a)
         attended = p @ v
         pre = q_in - attended if self.use_offset else attended
         h, c_h = self.phi.forward(pre)
         out, c_relu = relu_forward(h)
-        cache = (c_q, c_k, c_v, c_qn, c_kn, qn, kn, v, p, c_p, c_h, c_relu)
-        return (out, AttentionTrace(a=a, p=p)), cache
+        # a: raw scores, p: softmax weights (also the softmax's cache)
+        cache = (c_q, c_k, c_v, c_qn, c_kn, qn, kn, v, a, p, c_h, c_relu)
+        return out, cache
 
     def backward(self, d_out: np.ndarray, cache):
         """Returns (dQ_in, dK_in, dV_in) and accumulates parameter grads."""
-        c_q, c_k, c_v, c_qn, c_kn, qn, kn, v, p, c_p, c_h, c_relu = cache
+        c_q, c_k, c_v, c_qn, c_kn, qn, kn, v, _a, p, c_h, c_relu = cache
         d_h = relu_backward(d_out, c_relu)
         d_pre = self.phi.backward(d_h, c_h)
         if self.use_offset:
@@ -96,7 +87,7 @@ class RelationAttention:
             d_attended = d_pre
         d_p = d_attended @ v.T
         d_v = p.T @ d_attended
-        d_a = softmax_rows_backward(d_p, c_p)
+        d_a = softmax_rows_backward(d_p, p)
         d_qn = d_a @ kn
         d_kn = d_a.T @ qn
         if self.use_l2_norm:
@@ -130,12 +121,11 @@ class PointRelationTransformer:
         return [*self.self_ram.params(), *self.cross_ram.params()]
 
     def forward(self, xs: np.ndarray, xt: np.ndarray):
-        """Returns ((X̂^s, X̄^s, X̄^t, traces), cache)."""
-        (xs_bar, tr_s), c_s = self.self_ram.forward(xs, xs, xs)
-        (xt_bar, tr_t), c_t = self.self_ram.forward(xt, xt, xt)
-        (xs_hat, tr_x), c_x = self.cross_ram.forward(xs_bar, xt_bar, xt_bar)
-        cache = (c_s, c_t, c_x)
-        return (xs_hat, xs_bar, xt_bar, (tr_s, tr_t, tr_x)), cache
+        """Returns (X̂^s, cache); the cache holds the three blocks' caches."""
+        xs_bar, c_s = self.self_ram.forward(xs, xs, xs)
+        xt_bar, c_t = self.self_ram.forward(xt, xt, xt)
+        xs_hat, c_x = self.cross_ram.forward(xs_bar, xt_bar, xt_bar)
+        return xs_hat, (c_s, c_t, c_x)
 
     def backward(self, d_xs_hat: np.ndarray, cache):
         """Returns (d_xs, d_xt)."""
@@ -158,18 +148,19 @@ def cosine_match_forward(xs: np.ndarray, xt: np.ndarray):
     xsn, c_sn = l2_normalize_rows_forward(xs, L2_EPS)
     xtn, c_tn = l2_normalize_rows_forward(xt, L2_EPS)
     s = xsn @ xtn.T
-    p, c_p = softmax_rows_forward(s)
+    p, _ = softmax_rows_forward(s)
     out = p @ xt
-    cache = (c_sn, c_tn, xsn, xtn, xt, p, c_p)
-    return (out, AttentionTrace(a=s, p=p)), cache
+    # s: raw scores, p: softmax weights (also the softmax's cache)
+    cache = (c_sn, c_tn, xsn, xtn, xt, s, p)
+    return out, cache
 
 
 def cosine_match_backward(d_out: np.ndarray, cache):
     """Returns (d_xs, d_xt)."""
-    c_sn, c_tn, xsn, xtn, xt, p, c_p = cache
+    c_sn, c_tn, xsn, xtn, xt, _s, p = cache
     d_p = d_out @ xt.T
     d_xt = p.T @ d_out
-    d_s = softmax_rows_backward(d_p, c_p)
+    d_s = softmax_rows_backward(d_p, p)
     d_xsn = d_s @ xtn
     d_xtn = d_s.T @ xsn
     d_xs = l2_normalize_rows_backward(d_xsn, c_sn)

@@ -13,6 +13,7 @@ per-neighbor layers and the max-pool.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,62 +41,13 @@ from .sampling import (
     sample_ras,
 )
 
+if TYPE_CHECKING:
+    from .config import RunConfig
+
 SAMPLER_NAMES = ("random", "dfps", "ffps", "ras", "hybrid")
 # Samplers that score points against the template branch's features; the
 # template branch itself has none to score against.
 RELATION_SAMPLERS = ("ras", "hybrid")
-
-
-def check_template_sampler(name: str):
-    if name in RELATION_SAMPLERS:
-        raise ValueError(f"template_sampler {name!r} needs template features; "
-                         f"the template branch cannot use {', '.join(RELATION_SAMPLERS)}")
-
-
-@dataclass(frozen=True)
-class SALevelSpec:
-    """Geometry and width of one set-abstraction level."""
-
-    radius: float
-    out_template: int
-    out_search: int
-    channels: int
-    max_neighbors: int = 32
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if self.channels < 1:
-            raise ValueError("channels must be >= 1")
-        if self.max_neighbors < 1:
-            raise ValueError("max_neighbors must be >= 1")
-        if self.out_template < 1 or self.out_search < 1:
-            raise ValueError("per-level point counts must be >= 1")
-
-
-@dataclass(frozen=True)
-class BackboneSpec:
-    """Full pyramid: initial embedding plus a stack of SA levels."""
-
-    embed_dim: int = 32
-    levels: tuple[SALevelSpec, ...] = (
-        SALevelSpec(radius=0.3, out_template=256, out_search=512, channels=64),
-        SALevelSpec(radius=0.5, out_template=128, out_search=256, channels=128),
-        SALevelSpec(radius=0.7, out_template=64, out_search=128, channels=256),
-    )
-    template_sampler: str = "dfps"
-    search_sampler: str = "hybrid"
-    use_bn: bool = False
-
-    def __post_init__(self):
-        for name in (self.template_sampler, self.search_sampler):
-            if name not in SAMPLER_NAMES:
-                raise ValueError(f"unknown sampler {name!r}")
-        check_template_sampler(self.template_sampler)
-
-    @property
-    def out_channels(self) -> int:
-        return self.levels[-1].channels
 
 
 def select_points(method: str, coords: np.ndarray, feats: np.ndarray,
@@ -140,12 +92,14 @@ class SetAbstraction:
     counts 1 + (k − count) times.
     """
 
-    def __init__(self, in_ch: int, spec: SALevelSpec, rng: np.random.Generator,
-                 name: str, dtype=np.float32, use_bn: bool = False):
-        self.spec = spec
+    def __init__(self, in_ch: int, out_ch: int, radius: float, max_neighbors: int,
+                 rng: np.random.Generator, name: str, dtype=np.float32,
+                 use_bn: bool = False):
         self.in_ch = in_ch
-        self.linear = Linear(in_ch + 3, spec.channels, rng, name=f"{name}.0", dtype=dtype)
-        self.norm = BatchNorm(spec.channels, name=f"{name}.0.bn", dtype=dtype) if use_bn else None
+        self.radius = radius
+        self.max_neighbors = max_neighbors
+        self.linear = Linear(in_ch + 3, out_ch, rng, name=f"{name}.0", dtype=dtype)
+        self.norm = BatchNorm(out_ch, name=f"{name}.0.bn", dtype=dtype) if use_bn else None
 
     def params(self) -> list[Param]:
         return self.linear.params() + (self.norm.params() if self.norm is not None else [])
@@ -160,7 +114,7 @@ class SetAbstraction:
         # A centroid is always within radius of itself, so every row has a
         # hit; fill_idx only matters for padded duplicate centroids.
         idx, counts = ball_query_padded(
-            centroids, coords, self.spec.radius, self.spec.max_neighbors, fill_idx=sel)
+            centroids, coords, self.radius, self.max_neighbors, fill_idx=sel)
         order, src, rowpos, sizes = jagged_layout(idx, counts)
         rel = (coords[src] - centroids[order[rowpos]]).astype(feats.dtype)
         w_feat = self.linear.weight.value[:, : self.in_ch]
@@ -220,18 +174,22 @@ class BackbonePlan:
 class Backbone:
     """Initial shared point embedding followed by the SA pyramid."""
 
-    def __init__(self, spec: BackboneSpec, rng: np.random.Generator,
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator,
                  dtype=np.float32, name: str = "backbone"):
-        self.spec = spec
         self.dtype = dtype
-        self.embed = MLP([3, spec.embed_dim], rng, name=f"{name}.embed",
-                         dtype=dtype, relu=[True], bn=[spec.use_bn])
+        self.template_sampler = cfg.template_sampler
+        self.search_sampler = cfg.search_sampler
+        # (template, search) centroid budget of each level
+        self.budgets = tuple(zip(cfg.sa_template_points, cfg.sa_search_points))
+        self.embed = MLP([3, cfg.embed_dim], rng, name=f"{name}.embed",
+                         dtype=dtype, relu=[True], bn=[cfg.use_bn])
         self.levels: list[SetAbstraction] = []
-        in_ch = spec.embed_dim
-        for i, lv in enumerate(spec.levels):
-            self.levels.append(SetAbstraction(in_ch, lv, rng, f"{name}.sa{i}",
-                                              dtype=dtype, use_bn=spec.use_bn))
-            in_ch = lv.channels
+        in_ch = cfg.embed_dim
+        for i, (out_ch, radius) in enumerate(zip(cfg.sa_channels, cfg.sa_radii)):
+            self.levels.append(SetAbstraction(in_ch, out_ch, radius, cfg.sa_max_neighbors,
+                                              rng, f"{name}.sa{i}", dtype=dtype,
+                                              use_bn=cfg.use_bn))
+            in_ch = out_ch
 
     def params(self) -> list[Param]:
         out = self.embed.params()
@@ -273,15 +231,12 @@ class Backbone:
         feats_s, c_embed_s = self.embed.forward(coords_s - origin, training)
         ct, cs = coords_t, coords_s
         level_caches = []
-        for i, level in enumerate(self.levels):
-            lv = self.spec.levels[i]
+        for i, (level, (k_t, k_s)) in enumerate(zip(self.levels, self.budgets)):
             if replay:
                 sel_t, sel_s = plan.selections[i]
             else:
-                sel_t = select_points(self.spec.template_sampler, ct, feats_t,
-                                      None, lv.out_template, rng, i)
-                sel_s = select_points(self.spec.search_sampler, cs, feats_s,
-                                      feats_t, lv.out_search, rng, i)
+                sel_t = select_points(self.template_sampler, ct, feats_t, None, k_t, rng, i)
+                sel_s = select_points(self.search_sampler, cs, feats_s, feats_t, k_s, rng, i)
                 plan.selections.append((sel_t, sel_s))
             (ct, feats_t), cache_t = level.forward(ct, feats_t, sel_t, training)
             (cs, feats_s), cache_s = level.forward(cs, feats_s, sel_s, training)

@@ -1,0 +1,271 @@
+"""Self-checks: finite-difference gradient checks of every differentiable
+block and of the composed network, and brute-force oracles for the
+samplers, the box IoU and the metrics.
+
+``pctrack check`` runs both suites; the tests use the same oracles and the
+same tiny check model.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from dataclasses import dataclass
+
+import numpy as np
+
+from .attention import PointRelationTransformer, RelationAttention
+from .backbone import SetAbstraction
+from .config import RunConfig
+from .evaldata import precision_metric, success_metric
+from .geometry import Box3D, box_iou_3d, points_in_box
+from .model import TrackerModel
+from .numeric import MLP, grad_check
+from .pipeline import make_targets, total_loss_backward, total_loss_forward
+from .sampling import SampleSelection, sample_dfps, sample_ffps, sample_ras
+
+
+@dataclass
+class CheckResult:
+    name: str
+    detail: str
+    ok: bool
+
+
+# A two-level network small enough for a finite-difference pass over every
+# parameter.
+_TINY_MODEL = {
+    "embed_dim": 4,
+    "sa_radii": (0.8, 1.2),
+    "sa_template_points": (6, 4),
+    "sa_search_points": (8, 6),
+    "sa_channels": (6, 8),
+    "sa_max_neighbors": 4,
+    "coarse_hidden": (6, 6),
+    "refine_hidden": (8, 6, 6, 6),
+}
+
+
+def tiny_config(**overrides) -> RunConfig:
+    """The tiny check model's config, with ``overrides`` applied on top."""
+    return dataclasses.replace(RunConfig(), **{**_TINY_MODEL, **overrides}).validate()
+
+
+# ---------------------------------------------------------------------------
+# Gradient suite
+# ---------------------------------------------------------------------------
+
+
+def full_model_gradient_error(training: bool = False, **overrides) -> float:
+    """Finite-difference error of the composed tiny network through the loss."""
+    model = TrackerModel(tiny_config(seed=8, **overrides), np.float64)
+    rng = np.random.default_rng(9)
+    coords_t = rng.uniform(-1.0, 1.0, size=(8, 3))
+    coords_s = rng.uniform(-2.0, 2.0, size=(10, 3))
+    gt = Box3D((0.0, 0.0, 0.0), (2.5, 2.0, 2.0), 0.2)
+    holder = {}
+
+    def fn():
+        model.zero_grad()
+        out, cache = model.forward(coords_t, coords_s, np.random.default_rng(11),
+                                   plan=holder.get("plan"), training=training)
+        holder["plan"] = out.plan
+        targets = make_targets(out.seeds, gt)
+        loss, _, l_cache = total_loss_forward(out.coarse, out.refined, targets, 1.0)
+        model.backward(*total_loss_backward(l_cache), cache)
+        return loss
+
+    # Finer step than the default: the row normalizations give the composed
+    # loss enough curvature that h=1e-5 leaves visible truncation error.
+    return grad_check(fn, model.params(), h=1e-6)
+
+
+def gradient_suite() -> list[CheckResult]:
+    tol = 1e-4
+    results = []
+
+    def add(name, err):
+        results.append(CheckResult(name, f"max rel err {err:.2e}", err < tol))
+
+    rng = np.random.default_rng(0)
+    mlp = MLP([5, 7, 3], rng, name="mlp", dtype=np.float64, bn=[True, False])
+    x = rng.normal(size=(6, 5))
+    w = rng.normal(size=(6, 3))
+
+    def mlp_fn():
+        for p in mlp.params():
+            p.zero_grad()
+        y, cache = mlp.forward(x, training=True)
+        mlp.backward(w, cache)
+        return float((w * y).sum())
+
+    add("mlp+batchnorm", grad_check(mlp_fn, mlp.params()))
+
+    ram = RelationAttention(6, np.random.default_rng(1), name="ram",
+                            dtype=np.float64, use_l2_norm=True, use_offset=True)
+    q = rng.normal(size=(5, 6))
+    k = rng.normal(size=(4, 6))
+    wr = rng.normal(size=(5, 6))
+
+    def ram_fn():
+        for p in ram.params():
+            p.zero_grad()
+        y, cache = ram.forward(q, k, k)
+        ram.backward(wr, cache)
+        return float((wr * y).sum())
+
+    add("relation-attention", grad_check(ram_fn, ram.params()))
+
+    prt = PointRelationTransformer(6, np.random.default_rng(2), name="prt",
+                                   dtype=np.float64, use_l2_norm=True,
+                                   use_offset=True)
+    xt = rng.normal(size=(4, 6))
+    xs = rng.normal(size=(5, 6))
+    wp = rng.normal(size=(5, 6))
+
+    def prt_fn():
+        for p in prt.params():
+            p.zero_grad()
+        y, cache = prt.forward(xs, xt)
+        prt.backward(wp, cache)
+        return float((wp * y).sum())
+
+    add("point-relation-transformer", grad_check(prt_fn, prt.params()))
+
+    coords = rng.uniform(-1, 1, size=(7, 3))
+    feats = rng.normal(size=(7, 4))
+    sel = SampleSelection(indices=np.arange(4), method="dfps")
+    ws = rng.normal(size=(4, 5))
+    for use_bn in (False, True):
+        level = SetAbstraction(4, 5, 1.0, 3, np.random.default_rng(3), name="sa",
+                               dtype=np.float64, use_bn=use_bn)
+
+        def sa_fn():
+            for p in level.params():
+                p.zero_grad()
+            (_, y), cache = level.forward(coords, feats, sel, training=use_bn)
+            level.backward(ws, cache)
+            return float((ws * y).sum())
+
+        add("set-abstraction" + ("+batchnorm" if use_bn else ""),
+            grad_check(sa_fn, level.params()))
+
+    # The composed model without BN, then with BN everywhere in training
+    # mode, batch statistics included.
+    for suffix, bn in (("", False), ("+batchnorm-train", True)):
+        add("full-model" + suffix, full_model_gradient_error(bn, use_bn=bn))
+        add("full-model-cosine" + suffix,
+            full_model_gradient_error(bn, use_bn=bn, use_prt=False))
+        add("full-model-coarse-only" + suffix,
+            full_model_gradient_error(bn, use_bn=bn, use_prm=False))
+    return results
+
+
+# ---------------------------------------------------------------------------
+# Oracles
+# ---------------------------------------------------------------------------
+
+
+def greedy_fps_oracle(points: np.ndarray, k: int, start: int = 0) -> list[int]:
+    """Greedy farthest-point walk from ``start`` as plain scalar loops over
+    squared distances, lowest index on ties; min(k, n) indices."""
+    n = len(points)
+    chosen = [start]
+    dist = [float(((points[i] - points[start]) ** 2).sum()) for i in range(n)]
+    dist[start] = -1.0
+    while len(chosen) < min(k, n):
+        best_i, best_d = -1, -1.0
+        for i in range(n):
+            if dist[i] > best_d:
+                best_i, best_d = i, dist[i]
+        chosen.append(best_i)
+        dist[best_i] = -1.0
+        for i in range(n):
+            if dist[i] >= 0.0:
+                d = float(((points[i] - points[best_i]) ** 2).sum())
+                if d < dist[i]:
+                    dist[i] = d
+    return chosen
+
+
+def ras_sort_oracle(search_feats: np.ndarray, template_feats: np.ndarray, k: int) -> list[int]:
+    """Relation-aware selection by a full pairwise-distance sort: each search
+    row scored by its nearest template row, lowest scores first, lowest
+    index on ties."""
+    v = [min(float(np.linalg.norm(s - t)) for t in template_feats)
+         for s in search_feats]
+    return sorted(range(len(v)), key=lambda i: (v[i], i))[:k]
+
+
+def mc_box_iou(a: Box3D, b: Box3D, n_samples: int, rng: np.random.Generator) -> float:
+    """Monte-Carlo IoU: uniform samples over the joint AABB, membership counting."""
+    corners = []
+    for box in (a, b):
+        z0 = box.center[2] - box.size[2] / 2.0
+        z1 = box.center[2] + box.size[2] / 2.0
+        for x, y in box.corners_bev():
+            corners.append([x, y, z0])
+            corners.append([x, y, z1])
+    corners = np.asarray(corners)
+    pts = rng.uniform(corners.min(axis=0), corners.max(axis=0), size=(n_samples, 3))
+    in_a = points_in_box(pts, a)
+    in_b = points_in_box(pts, b)
+    union = np.count_nonzero(in_a | in_b)
+    if union == 0:
+        return 0.0
+    return np.count_nonzero(in_a & in_b) / union
+
+
+def oracle_suite() -> list[CheckResult]:
+    results = []
+    rng = np.random.default_rng(42)
+
+    fps_ok = True
+    for trial in range(20):
+        n = int(rng.integers(5, 48))
+        k = int(rng.integers(2, n + 1))
+        pts = rng.normal(size=(n, 3))
+        if sample_dfps(pts, k).indices.tolist() != greedy_fps_oracle(pts, k):
+            fps_ok = False
+        feats = rng.normal(size=(n, 6))
+        if sample_ffps(feats, k).indices.tolist() != greedy_fps_oracle(feats, k):
+            fps_ok = False
+    results.append(CheckResult("farthest-point-sampling",
+                               "20 random fixtures vs scalar-loop walk", fps_ok))
+
+    ras_ok = True
+    for trial in range(20):
+        n_s, n_t = int(rng.integers(6, 40)), int(rng.integers(3, 20))
+        k = int(rng.integers(1, n_s + 1))
+        fs = rng.normal(size=(n_s, 5))
+        ft = rng.normal(size=(n_t, 5))
+        if sample_ras(fs, ft, k).indices.tolist() != ras_sort_oracle(fs, ft, k):
+            ras_ok = False
+    results.append(CheckResult("relation-aware-sampling",
+                               "20 random fixtures vs sort of pairwise distances", ras_ok))
+
+    # Two unit cubes offset by half an edge along one axis: IoU exactly 1/3.
+    a = Box3D((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0)
+    b = Box3D((0.5, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0)
+    iou = box_iou_3d(a, b)
+    results.append(CheckResult("iou-closed-form", f"unit cube offset -> {iou:.12f}",
+                               abs(iou - 1.0 / 3.0) < 1e-9))
+
+    worst = 0.0
+    for trial in range(5):
+        a, b = (Box3D(rng.uniform(-1, 1, size=3), rng.uniform(0.5, 2.5, size=3),
+                      rng.uniform(-np.pi, np.pi)) for _ in range(2))
+        worst = max(worst, abs(box_iou_3d(a, b) - mc_box_iou(a, b, 200_000, rng)))
+    results.append(CheckResult("iou-monte-carlo",
+                               f"5 random pairs, worst gap {worst:.4f}", worst <= 0.02))
+
+    ious = rng.uniform(0, 1, size=100)
+    s = success_metric(ious)
+    thresholds = np.linspace(0.0, 1.0, 1001)
+    curve = (ious[None, :] >= thresholds[:, None]).mean(axis=1)
+    auc = float(np.trapezoid(curve, thresholds)) * 100.0
+    results.append(CheckResult("success-metric-identity",
+                               f"mean {s:.3f} vs AUC {auc:.3f}", abs(s - auc) < 0.1))
+    p = precision_metric(np.ones(10))
+    results.append(CheckResult("precision-metric-step",
+                               f"all-1m errors -> {p:.3f}", abs(p - 50.0) < 0.5))
+    return results

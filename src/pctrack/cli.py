@@ -12,13 +12,11 @@ import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .attention import PointRelationTransformer, RelationAttention
-from .backbone import BackboneSpec, SALevelSpec, SetAbstraction
+from .checks import gradient_suite, oracle_suite
 from .config import (
     ABLATIONS,
     PROFILES,
@@ -26,7 +24,6 @@ from .config import (
     apply_ablation,
     apply_overrides,
     build_model,
-    build_model_spec,
     config_for_profile,
     read_overrides,
     save_config,
@@ -40,19 +37,9 @@ from .evaldata import (
     save_dataset,
     synth_tracklet,
 )
-from .geometry import Box3D, box_iou_3d, points_in_box
-from .heads import HeadSpec
-from .model import ModelSpec, TrackerModel
-from .numeric import MLP, grad_check
-from .pipeline import (
-    OracleModel,
-    make_targets,
-    total_loss_backward,
-    total_loss_forward,
-    track_sequence,
-    train,
-)
-from .sampling import SampleSelection, ras_scores, sample_dfps, sample_ffps, sample_ras
+from .geometry import box_iou_3d
+from .model import TrackerModel
+from .pipeline import OracleModel, track_sequence, train
 
 # ---------------------------------------------------------------------------
 # Config resolution shared by train/track/eval/bench
@@ -254,240 +241,8 @@ def cmd_eval(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# check: gradient suite + oracle suite
+# check: gradient suite + oracle suite (defined in checks.py)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class CheckResult:
-    name: str
-    detail: str
-    ok: bool
-
-
-def _tiny_check_spec(**kw) -> ModelSpec:
-    backbone = BackboneSpec(
-        embed_dim=4,
-        levels=(
-            SALevelSpec(radius=0.8, out_template=6, out_search=8, channels=6,
-                        max_neighbors=4),
-            SALevelSpec(radius=1.2, out_template=4, out_search=6, channels=8,
-                        max_neighbors=4),
-        ),
-    )
-    heads = HeadSpec(channels=8, coarse_hidden=(6, 6), refine_hidden=(8, 6, 6, 6))
-    return ModelSpec(backbone=backbone, heads=heads, **kw)
-
-
-def full_model_gradient_error(**spec_kw) -> float:
-    """Finite-difference error of the composed network through the loss."""
-    model = TrackerModel(_tiny_check_spec(**spec_kw), init_seed=8, dtype=np.float64)
-    rng = np.random.default_rng(9)
-    coords_t = rng.uniform(-1.0, 1.0, size=(8, 3))
-    coords_s = rng.uniform(-2.0, 2.0, size=(10, 3))
-    gt = Box3D((0.0, 0.0, 0.0), (2.5, 2.0, 2.0), 0.2)
-    holder = {}
-
-    def fn():
-        model.zero_grad()
-        out, cache = model.forward(coords_t, coords_s, np.random.default_rng(11),
-                                   plan=holder.get("plan"))
-        holder["plan"] = out.plan
-        targets = make_targets(out.seeds, gt)
-        loss, _, l_cache = total_loss_forward(out.coarse, out.refined, targets, 1.0)
-        model.backward(*total_loss_backward(l_cache), cache)
-        return loss
-
-    # Finer step than the default: the row normalizations give the composed
-    # loss enough curvature that h=1e-5 leaves visible truncation error.
-    return grad_check(fn, model.params(), h=1e-6)
-
-
-def gradient_suite() -> list[CheckResult]:
-    tol = 1e-4
-    results = []
-
-    def add(name, err):
-        results.append(CheckResult(name, f"max rel err {err:.2e}", err < tol))
-
-    rng = np.random.default_rng(0)
-    mlp = MLP([5, 7, 3], rng, name="mlp", dtype=np.float64, bn=[True, False])
-    x = rng.normal(size=(6, 5))
-    w = rng.normal(size=(6, 3))
-
-    def mlp_fn():
-        for p in mlp.params():
-            p.zero_grad()
-        y, cache = mlp.forward(x, training=True)
-        mlp.backward(w, cache)
-        return float((w * y).sum())
-
-    add("mlp+batchnorm", grad_check(mlp_fn, mlp.params()))
-
-    ram = RelationAttention(6, np.random.default_rng(1), name="ram",
-                            dtype=np.float64, use_l2_norm=True, use_offset=True)
-    q = rng.normal(size=(5, 6))
-    k = rng.normal(size=(4, 6))
-    wr = rng.normal(size=(5, 6))
-
-    def ram_fn():
-        for p in ram.params():
-            p.zero_grad()
-        (y, _), cache = ram.forward(q, k, k)
-        ram.backward(wr, cache)
-        return float((wr * y).sum())
-
-    add("relation-attention", grad_check(ram_fn, ram.params()))
-
-    prt = PointRelationTransformer(6, np.random.default_rng(2), name="prt",
-                                   dtype=np.float64, use_l2_norm=True,
-                                   use_offset=True)
-    xt = rng.normal(size=(4, 6))
-    xs = rng.normal(size=(5, 6))
-    wp = rng.normal(size=(5, 6))
-
-    def prt_fn():
-        for p in prt.params():
-            p.zero_grad()
-        (y, _, _, _), cache = prt.forward(xs, xt)
-        prt.backward(wp, cache)
-        return float((wp * y).sum())
-
-    add("point-relation-transformer", grad_check(prt_fn, prt.params()))
-
-    coords = rng.uniform(-1, 1, size=(7, 3))
-    feats = rng.normal(size=(7, 4))
-    sel = SampleSelection(indices=np.arange(4), method="dfps")
-    ws = rng.normal(size=(4, 5))
-    for use_bn in (False, True):
-        level = SetAbstraction(4, SALevelSpec(radius=1.0, out_template=4, out_search=4,
-                                              channels=5, max_neighbors=3),
-                               np.random.default_rng(3), name="sa", dtype=np.float64,
-                               use_bn=use_bn)
-
-        def sa_fn():
-            for p in level.params():
-                p.zero_grad()
-            (_, y), cache = level.forward(coords, feats, sel, training=use_bn)
-            level.backward(ws, cache)
-            return float((ws * y).sum())
-
-        add("set-abstraction" + ("+batchnorm" if use_bn else ""),
-            grad_check(sa_fn, level.params()))
-
-    add("full-model", full_model_gradient_error())
-    add("full-model-cosine", full_model_gradient_error(use_prt=False))
-    add("full-model-coarse-only", full_model_gradient_error(use_prm=False))
-    return results
-
-
-def _fps_reference(pts: np.ndarray, k: int) -> list[int]:
-    """Greedy farthest-point walk, written as plain scalar loops."""
-    n = pts.shape[0]
-    chosen = [0]
-    dist = [float(((pts[i] - pts[0]) ** 2).sum()) for i in range(n)]
-    dist[0] = -1.0
-    while len(chosen) < min(k, n):
-        best_i, best_d = -1, -1.0
-        for i in range(n):
-            if dist[i] > best_d:
-                best_i, best_d = i, dist[i]
-        chosen.append(best_i)
-        dist[best_i] = -1.0
-        for i in range(n):
-            if dist[i] >= 0.0:
-                d = float(((pts[i] - pts[best_i]) ** 2).sum())
-                if d < dist[i]:
-                    dist[i] = d
-        if len(chosen) == n:
-            break
-    return chosen
-
-
-def oracle_suite() -> list[CheckResult]:
-    results = []
-    rng = np.random.default_rng(42)
-
-    fps_ok = True
-    for trial in range(20):
-        n = int(rng.integers(5, 48))
-        k = int(rng.integers(2, n + 1))
-        pts = rng.normal(size=(n, 3))
-        if sample_dfps(pts, k).indices.tolist() != _fps_reference(pts, k)[:k]:
-            fps_ok = False
-        feats = rng.normal(size=(n, 6))
-        if sample_ffps(feats, k).indices.tolist() != _fps_reference(feats, k)[:k]:
-            fps_ok = False
-    results.append(CheckResult("farthest-point-sampling",
-                               "20 random fixtures vs scalar-loop walk", fps_ok))
-
-    ras_ok = True
-    for trial in range(20):
-        n_s, n_t = int(rng.integers(6, 40)), int(rng.integers(3, 20))
-        k = int(rng.integers(1, n_s + 1))
-        fs = rng.normal(size=(n_s, 5))
-        ft = rng.normal(size=(n_t, 5))
-        v = ras_scores(fs, ft)
-        expect = sorted(range(n_s), key=lambda i: (v[i], i))[:k]
-        if sample_ras(fs, ft, k).indices.tolist() != expect:
-            ras_ok = False
-    results.append(CheckResult("relation-aware-sampling",
-                               "20 random fixtures vs sort of min-distances", ras_ok))
-
-    # Two unit cubes offset by half an edge along one axis: IoU exactly 1/3.
-    a = Box3D((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0)
-    b = Box3D((0.5, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0)
-    iou = box_iou_3d(a, b)
-    results.append(CheckResult("iou-closed-form", f"unit cube offset -> {iou:.12f}",
-                               abs(iou - 1.0 / 3.0) < 1e-9))
-
-    mc_ok = True
-    worst = 0.0
-    for trial in range(5):
-        boxes = []
-        for _ in range(2):
-            boxes.append(Box3D(rng.uniform(-1, 1, size=3),
-                               rng.uniform(0.5, 2.5, size=3),
-                               rng.uniform(-np.pi, np.pi)))
-        lo, hi = _joint_bounds(boxes[0], boxes[1])
-        samples = rng.uniform(lo, hi, size=(200_000, 3))
-        in_a = points_in_box(samples, boxes[0])
-        in_b = points_in_box(samples, boxes[1])
-        union = (in_a | in_b).sum()
-        mc = float((in_a & in_b).sum() / union) if union else 0.0
-        err = abs(box_iou_3d(boxes[0], boxes[1]) - mc)
-        worst = max(worst, err)
-        if err > 0.02:
-            mc_ok = False
-    results.append(CheckResult("iou-monte-carlo",
-                               f"5 random pairs, worst gap {worst:.4f}", mc_ok))
-
-    ious = rng.uniform(0, 1, size=100)
-    from .evaldata import precision_metric, success_metric
-    s = success_metric(ious)
-    thresholds = np.linspace(0.0, 1.0, 1001)
-    curve = (ious[None, :] >= thresholds[:, None]).mean(axis=1)
-    auc = float(np.trapezoid(curve, thresholds)) * 100.0
-    results.append(CheckResult("success-metric-identity",
-                               f"mean {s:.3f} vs AUC {auc:.3f}", abs(s - auc) < 0.1))
-    p = precision_metric(np.ones(10))
-    results.append(CheckResult("precision-metric-step",
-                               f"all-1m errors -> {p:.3f}", abs(p - 50.0) < 0.5))
-    return results
-
-
-def _joint_bounds(a: Box3D, b: Box3D):
-    corners = []
-    for box in (a, b):
-        half = box.size / 2.0
-        signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1)
-                          for sz in (-1, 1)])
-        local = signs * half
-        c, s = np.cos(box.yaw), np.sin(box.yaw)
-        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        corners.append(local @ rot.T + box.center)
-    all_corners = np.vstack(corners)
-    return all_corners.min(axis=0), all_corners.max(axis=0)
 
 
 def cmd_check(args) -> int:

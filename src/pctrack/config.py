@@ -11,9 +11,8 @@ import dataclasses
 import math
 from dataclasses import dataclass, field, fields
 
-from .backbone import SAMPLER_NAMES, BackboneSpec, SALevelSpec, check_template_sampler
-from .heads import HeadSpec
-from .model import ModelSpec, TrackerModel
+from .backbone import RELATION_SAMPLERS, SAMPLER_NAMES
+from .model import TrackerModel
 
 
 def _as_tuple(value) -> tuple:
@@ -65,13 +64,19 @@ class RunConfig:
         if not (len(self.sa_radii) == len(self.sa_template_points)
                 == len(self.sa_search_points) == len(self.sa_channels)):
             raise ValueError("per-level model lists must have equal lengths")
+        if not self.sa_radii:
+            raise ValueError("sa_radii, sa_template_points, sa_search_points and "
+                             "sa_channels need at least one level")
         if self.sa_max_neighbors < 1:
             raise ValueError("sa_max_neighbors must be >= 1")
         if min(self.sa_template_points + self.sa_search_points, default=1) < 1:
             raise ValueError("sa_template_points and sa_search_points must be >= 1")
         if self.template_sampler not in SAMPLER_NAMES:
             raise ValueError(f"unknown template_sampler {self.template_sampler!r}")
-        check_template_sampler(self.template_sampler)
+        if self.template_sampler in RELATION_SAMPLERS:
+            raise ValueError(
+                f"template_sampler {self.template_sampler!r} needs template features; "
+                f"the template branch cannot use {', '.join(RELATION_SAMPLERS)}")
         if self.search_sampler not in SAMPLER_NAMES:
             raise ValueError(f"unknown search_sampler {self.search_sampler!r}")
         if self.lam < 0:
@@ -229,35 +234,7 @@ def load_config(path, base: RunConfig | None = None) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def build_model_spec(cfg: RunConfig) -> ModelSpec:
-    cfg.validate()
-    levels = tuple(
-        SALevelSpec(radius=r, out_template=t, out_search=s, channels=c,
-                    max_neighbors=cfg.sa_max_neighbors)
-        for r, t, s, c in zip(cfg.sa_radii, cfg.sa_template_points,
-                              cfg.sa_search_points, cfg.sa_channels)
-    )
-    backbone = BackboneSpec(
-        embed_dim=cfg.embed_dim,
-        levels=levels,
-        template_sampler=cfg.template_sampler,
-        search_sampler=cfg.search_sampler,
-        use_bn=cfg.use_bn,
-    )
-    heads = HeadSpec(
-        channels=backbone.out_channels,
-        coarse_hidden=cfg.coarse_hidden,
-        refine_hidden=cfg.refine_hidden,
-        pool_radius=cfg.pool_radius,
-        use_bn=cfg.use_bn,
-    )
-    return ModelSpec(backbone=backbone, heads=heads, use_prt=cfg.use_prt,
-                     use_prm=cfg.use_prm, use_l2_norm=cfg.use_l2_norm,
-                     use_offset=cfg.use_offset)
-
-
 def build_model(cfg: RunConfig, dtype=None) -> TrackerModel:
     import numpy as np
 
-    return TrackerModel(build_model_spec(cfg), init_seed=cfg.seed,
-                        dtype=np.float32 if dtype is None else dtype)
+    return TrackerModel(cfg, np.float32 if dtype is None else dtype)

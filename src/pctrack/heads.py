@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from .numeric import (
     jagged_winner_hits,
     scatter_rows,
 )
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 
 @dataclass(frozen=True)
@@ -48,30 +52,20 @@ class Prediction:
         return int(np.argmax(self.cls_logits[:, 0]))
 
 
-@dataclass(frozen=True)
-class HeadSpec:
-    channels: int = 256
-    coarse_hidden: tuple[int, ...] = (128, 128)
-    refine_hidden: tuple[int, ...] = (256, 256, 128, 128)
-    pool_radius: float = 1.0
-    use_bn: bool = False
-
-
 class Heads:
     """Coarse cls/reg MLP pair plus the five-layer refinement MLP."""
 
-    def __init__(self, spec: HeadSpec, rng: np.random.Generator,
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator,
                  dtype=np.float32, name: str = "heads"):
-        self.spec = spec
-        c = spec.channels
+        c = cfg.sa_channels[-1]
 
         def flags(n_layers):
-            return ([spec.use_bn] * (n_layers - 1) + [False]) if spec.use_bn else None
+            return [True] * (n_layers - 1) + [False] if cfg.use_bn else None
 
-        cls_dims = [c, *spec.coarse_hidden, 1]
-        reg_dims = [c, *spec.coarse_hidden, 4]
+        cls_dims = [c, *cfg.coarse_hidden, 1]
+        reg_dims = [c, *cfg.coarse_hidden, 4]
         # pooled search + pooled template features + the 3 mapped coordinates
-        ref_dims = [2 * c + 3, *spec.refine_hidden, 5]
+        ref_dims = [2 * c + 3, *cfg.refine_hidden, 5]
         self.coarse_cls = MLP(cls_dims, rng, name=f"{name}.coarse_cls", dtype=dtype,
                               bn=flags(len(cls_dims) - 1))
         self.coarse_reg = MLP(reg_dims, rng, name=f"{name}.coarse_reg", dtype=dtype,

@@ -10,15 +10,15 @@ exactly repeatable function of the parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .attention import PointRelationTransformer, cosine_match_backward, cosine_match_forward
-from .backbone import Backbone, BackbonePlan, BackboneSpec
+from .backbone import Backbone, BackbonePlan
 from .heads import (
     Heads,
-    HeadSpec,
     Prediction,
     local_pool_backward,
     local_pool_forward,
@@ -27,21 +27,8 @@ from .heads import (
 )
 from .numeric import Param, load_checkpoint, save_checkpoint
 
-
-@dataclass(frozen=True)
-class ModelSpec:
-    backbone: BackboneSpec = field(default_factory=BackboneSpec)
-    heads: HeadSpec = field(default_factory=HeadSpec)
-    use_prt: bool = True       # off → parameter-free cosine matcher
-    use_prm: bool = True       # off → coarse stage only
-    use_l2_norm: bool = True   # score normalization inside attention
-    use_offset: bool = True    # query-minus-attended form inside attention
-
-    def __post_init__(self):
-        if self.heads.channels != self.backbone.out_channels:
-            raise ValueError(
-                f"head width {self.heads.channels} does not match backbone "
-                f"output width {self.backbone.out_channels}")
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 
 @dataclass
@@ -69,18 +56,24 @@ class ModelOutput:
 
 
 class TrackerModel:
-    """Owns all parameters and wires the stages together."""
+    """Owns all parameters and wires the stages together.
 
-    def __init__(self, spec: ModelSpec, init_seed: int = 0, dtype=np.float32):
-        self.spec = spec
+    Built from the model fields of a run config; ``cfg.seed`` seeds the
+    parameter initialization.
+    """
+
+    def __init__(self, cfg: RunConfig, dtype=np.float32):
+        cfg.validate()
         self.dtype = dtype
-        rng = np.random.default_rng(init_seed)
-        self.backbone = Backbone(spec.backbone, rng, dtype=dtype)
-        c = spec.backbone.out_channels
+        self.use_prm = cfg.use_prm          # off → coarse stage only
+        self.pool_radius = cfg.pool_radius
+        rng = np.random.default_rng(cfg.seed)
+        self.backbone = Backbone(cfg, rng, dtype=dtype)
+        # use_prt off → the parameter-free cosine matcher
         self.prt = (PointRelationTransformer(
-            c, rng, dtype=dtype, use_l2_norm=spec.use_l2_norm,
-            use_offset=spec.use_offset) if spec.use_prt else None)
-        self.heads = Heads(spec.heads, rng, dtype=dtype)
+            cfg.sa_channels[-1], rng, dtype=dtype, use_l2_norm=cfg.use_l2_norm,
+            use_offset=cfg.use_offset) if cfg.use_prt else None)
+        self.heads = Heads(cfg, rng, dtype=dtype)
 
     # -------------------------------------------------------------- state
 
@@ -102,6 +95,8 @@ class TrackerModel:
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
+        """Copies every parameter and buffer in place; nothing is written
+        unless every name and shape matches."""
         own = self.state_dict()
         missing = set(own) - set(state)
         extra = set(state) - set(own)
@@ -109,13 +104,12 @@ class TrackerModel:
             raise ValueError(
                 f"checkpoint mismatch: missing {sorted(missing)[:3]}..., "
                 f"unexpected {sorted(extra)[:3]}...")
-        for p in self.params():
-            incoming = np.asarray(state[p.name], dtype=p.value.dtype)
-            if incoming.shape != p.value.shape:
-                raise ValueError(f"{p.name}: shape {incoming.shape} != {p.value.shape}")
-            p.value[...] = incoming
-        for name, buf in {**self.backbone.buffers(), **self.heads.buffers()}.items():
-            buf[...] = np.asarray(state[name], dtype=buf.dtype)
+        incoming = {name: np.asarray(state[name], dtype=own[name].dtype) for name in own}
+        for name, target in own.items():
+            if incoming[name].shape != target.shape:
+                raise ValueError(f"{name}: shape {incoming[name].shape} != {target.shape}")
+        for name, target in own.items():
+            target[...] = incoming[name]
 
     def save(self, path):
         save_checkpoint(path, self.state_dict())
@@ -135,9 +129,9 @@ class TrackerModel:
             plan=plan.backbone if replay else None, training=training)
 
         if self.prt is not None:
-            (xs_hat, _, _, _), c_match = self.prt.forward(xs, xt)
+            xs_hat, c_match = self.prt.forward(xs, xt)
         else:
-            (xs_hat, _), c_match = cosine_match_forward(xs, xt)
+            xs_hat, c_match = cosine_match_forward(xs, xt)
 
         coarse, c_coarse = self.heads.coarse_forward(xs_hat, training)
 
@@ -145,14 +139,13 @@ class TrackerModel:
         c_refine = c_pool_s = c_pool_t = c_prm = None
         if not replay:
             plan = ModelPlan(backbone=bplan)
-        if self.spec.use_prm:
+        if self.use_prm:
             mapped, i_star = prm_offset(cs, coarse, pinned_index=plan.best_index)
             plan.best_index = i_star
-            radius = self.spec.heads.pool_radius
             f_s, c_pool_s, group_s = local_pool_forward(
-                cs, cs, xs, radius, group=plan.pool_group_search)
+                cs, cs, xs, self.pool_radius, group=plan.pool_group_search)
             f_t, c_pool_t, group_t = local_pool_forward(
-                mapped, ct, xt, radius, group=plan.pool_group_template)
+                mapped, ct, xt, self.pool_radius, group=plan.pool_group_template)
             plan.pool_group_search = group_s
             plan.pool_group_template = group_t
             refined, c_refine = self.heads.refine_forward(f_s, f_t, mapped, training)

@@ -1,10 +1,15 @@
-"""Shared test oracles: slow, obviously-correct reference implementations."""
+"""Shared test oracles: slow, obviously-correct reference implementations.
+
+The oracles that ``pctrack check`` also runs live in ``pctrack.checks`` and
+are re-exported here.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from pctrack.geometry import _BLOCK_BYTES, Box3D, ball_query_padded, points_in_box, to_box_frame
+from pctrack.checks import greedy_fps_oracle, mc_box_iou, ras_sort_oracle  # noqa: F401
+from pctrack.geometry import _BLOCK_BYTES, Box3D, ball_query_padded, to_box_frame
 from pctrack.numeric import relu_backward, relu_forward
 from pctrack.sampling import pair_sq_dist
 
@@ -14,27 +19,6 @@ def random_box(rng: np.random.Generator, center_span: float = 3.0) -> Box3D:
     size = rng.uniform(0.5, 4.0, size=3)
     yaw = rng.uniform(-np.pi, np.pi)
     return Box3D(center, size, yaw)
-
-
-def mc_box_iou(a: Box3D, b: Box3D, n_samples: int, rng: np.random.Generator) -> float:
-    """Monte-Carlo IoU: uniform samples over the joint AABB, membership counting."""
-    corners = []
-    for box in (a, b):
-        bev = box.corners_bev()
-        z0 = box.center[2] - box.size[2] / 2.0
-        z1 = box.center[2] + box.size[2] / 2.0
-        for x, y in bev:
-            corners.append([x, y, z0])
-            corners.append([x, y, z1])
-    corners = np.asarray(corners)
-    lo, hi = corners.min(axis=0), corners.max(axis=0)
-    pts = rng.uniform(lo, hi, size=(n_samples, 3))
-    in_a = points_in_box(pts, a)
-    in_b = points_in_box(pts, b)
-    union = np.count_nonzero(in_a | in_b)
-    if union == 0:
-        return 0.0
-    return np.count_nonzero(in_a & in_b) / union
 
 
 def reference_points_in_box(cloud, box: Box3D) -> np.ndarray:
@@ -50,31 +34,6 @@ def brute_ball_query(queries: np.ndarray, cloud: np.ndarray, radius: float, max_
         hits = [i for i, p in enumerate(np.atleast_2d(cloud)) if np.linalg.norm(q - p) <= radius]
         out.append(np.asarray(hits[:max_k], dtype=np.int64))
     return out
-
-
-def greedy_fps_oracle(points: np.ndarray, k: int, start: int = 0) -> list[int]:
-    """Plain-python greedy farthest-point reference, lowest index on ties."""
-    n = len(points)
-    chosen = [start]
-    while len(chosen) < min(k, n):
-        best_i, best_d = None, -1.0
-        for i in range(n):
-            if i in chosen:
-                continue
-            d = min(float(np.linalg.norm(points[i] - points[j])) for j in chosen)
-            if d > best_d + 1e-15:
-                best_i, best_d = i, d
-        chosen.append(best_i)
-    return chosen
-
-
-def ras_sort_oracle(search_feats: np.ndarray, template_feats: np.ndarray, k: int) -> list[int]:
-    """Full pairwise-distance sort reference for relation-aware selection."""
-    v = [
-        min(float(np.linalg.norm(s - t)) for t in template_feats)
-        for s in search_feats
-    ]
-    return sorted(range(len(v)), key=lambda i: (v[i], i))[:k]
 
 
 def foreground_fixture(rng: np.random.Generator, n_search: int = 160, fg_frac: float = 0.2):
@@ -108,8 +67,8 @@ def reference_sa_forward(sa, coords, feats, selection, training=False):
     """
     sel = selection.indices
     centroids = coords[sel]
-    idx, _ = ball_query_padded(centroids, coords, sa.spec.radius,
-                               sa.spec.max_neighbors, fill_idx=sel)
+    idx, _ = ball_query_padded(centroids, coords, sa.radius, sa.max_neighbors,
+                               fill_idx=sel)
     m, k = idx.shape
     rel = (coords[idx] - centroids[:, None, :]).astype(feats.dtype)
     w_feat = sa.linear.weight.value[:, : sa.in_ch]

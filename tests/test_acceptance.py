@@ -33,7 +33,7 @@ from pctrack import (
     evaluate,
     synth_tracklet,
 )
-from pctrack.cli import gradient_suite
+from pctrack.checks import gradient_suite
 from pctrack.evaldata import PointCloud, build_tracklets, precision_metric, success_metric
 from pctrack.geometry import Box3D, box_iou_3d
 from pctrack.pipeline import train

@@ -15,6 +15,23 @@ def make_ram(channels=5, seed=0, **kw):
                              dtype=np.float64, **kw)
 
 
+def ram_scores(cache):
+    """(raw scores, softmax weights) from a RelationAttention cache."""
+    return cache[8], cache[9]
+
+
+def cosine_scores(cache):
+    """(raw scores, softmax weights) from a cosine-match cache."""
+    return cache[5], cache[6]
+
+
+def self_attention_outputs(cache):
+    """(X̄^s, X̄^t) from a PointRelationTransformer cache: each self-attention
+    block's cache ends with its output."""
+    c_s, c_t, _ = cache
+    return c_s[-1], c_t[-1]
+
+
 # ---------------------------------------------------------------- RAM forward
 
 
@@ -23,8 +40,9 @@ def test_ram_single_key_softmax_is_one():
     rng = np.random.default_rng(1)
     q = rng.normal(size=(4, 5))
     k = rng.normal(size=(1, 5))
-    (out, trace), _ = ram.forward(q, k, k)
-    np.testing.assert_allclose(trace.p, 1.0, atol=1e-12)
+    out, cache = ram.forward(q, k, k)
+    _, p = ram_scores(cache)
+    np.testing.assert_allclose(p, 1.0, atol=1e-12)
     # With one key the attended value is Wv k + b for every query.
     wv_k, _ = ram.wv.forward(k)
     pre = q - wv_k
@@ -37,9 +55,10 @@ def test_ram_scores_are_cosines():
     rng = np.random.default_rng(3)
     q = rng.normal(size=(6, 5))
     k = rng.normal(size=(4, 5))
-    (_, trace), _ = ram.forward(q, k, k)
-    assert (np.abs(trace.a) <= 1.0 + 1e-9).all()
-    np.testing.assert_allclose(trace.p.sum(axis=1), 1.0, atol=1e-9)
+    _, cache = ram.forward(q, k, k)
+    a, p = ram_scores(cache)
+    assert (np.abs(a) <= 1.0 + 1e-9).all()
+    np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_ram_without_l2_norm_scores_unbounded():
@@ -47,8 +66,9 @@ def test_ram_without_l2_norm_scores_unbounded():
     rng = np.random.default_rng(5)
     q = 20.0 * rng.normal(size=(6, 5))
     k = 20.0 * rng.normal(size=(4, 5))
-    (_, trace), _ = ram.forward(q, k, k)
-    assert np.abs(trace.a).max() > 1.0
+    _, cache = ram.forward(q, k, k)
+    a, _ = ram_scores(cache)
+    assert np.abs(a).max() > 1.0
 
 
 def test_ram_offset_toggle_changes_output():
@@ -57,8 +77,8 @@ def test_ram_offset_toggle_changes_output():
     k = rng.normal(size=(3, 5))
     on = make_ram(seed=7, use_offset=True)
     off = make_ram(seed=7, use_offset=False)
-    (a, _), _ = on.forward(q, k, k)
-    (b, _), _ = off.forward(q, k, k)
+    a, _ = on.forward(q, k, k)
+    b, _ = off.forward(q, k, k)
     assert not np.allclose(a, b)
 
 
@@ -85,7 +105,7 @@ def test_ram_grad_check_all_toggles(l2, offset):
     def fn():
         for p in [q, k, v, *ram.params()]:
             p.zero_grad()
-        (out, _), cache = ram.forward(q.value, k.value, v.value)
+        out, cache = ram.forward(q.value, k.value, v.value)
         dq, dk, dv = ram.backward(w_loss, cache)
         q.grad += dq
         k.grad += dk
@@ -103,18 +123,20 @@ def test_prt_output_shapes():
     rng = np.random.default_rng(11)
     xs = rng.normal(size=(9, 6))
     xt = rng.normal(size=(5, 6))
-    (xs_hat, xs_bar, xt_bar, traces), _ = prt.forward(xs, xt)
+    xs_hat, cache = prt.forward(xs, xt)
+    xs_bar, xt_bar = self_attention_outputs(cache)
     assert xs_hat.shape == (9, 6)
     assert xs_bar.shape == (9, 6)
     assert xt_bar.shape == (5, 6)
-    assert traces[2].p.shape == (9, 5)
+    assert ram_scores(cache[2])[1].shape == (9, 5)
 
 
 def test_prt_shared_self_attention():
     """Identical branch inputs give bitwise identical self-attention outputs."""
     prt = PointRelationTransformer(5, np.random.default_rng(12), dtype=np.float64)
     x = np.random.default_rng(13).normal(size=(7, 5))
-    (_, xs_bar, xt_bar, _), _ = prt.forward(x, x)
+    _, cache = prt.forward(x, x)
+    xs_bar, xt_bar = self_attention_outputs(cache)
     np.testing.assert_array_equal(xs_bar, xt_bar)
 
 
@@ -123,9 +145,9 @@ def test_prt_shared_weights_are_one_object():
     rng = np.random.default_rng(15)
     xs = rng.normal(size=(6, 5))
     xt = rng.normal(size=(4, 5))
-    (_, xs_bar0, xt_bar0, _), _ = prt.forward(xs, xt)
+    xs_bar0, xt_bar0 = self_attention_outputs(prt.forward(xs, xt)[1])
     prt.self_ram.wq.weight.value += 0.1
-    (_, xs_bar1, xt_bar1, _), _ = prt.forward(xs, xt)
+    xs_bar1, xt_bar1 = self_attention_outputs(prt.forward(xs, xt)[1])
     assert not np.allclose(xs_bar0, xs_bar1)
     assert not np.allclose(xt_bar0, xt_bar1)
 
@@ -135,9 +157,9 @@ def test_prt_search_token_permutation_equivariance():
     rng = np.random.default_rng(17)
     xs = rng.normal(size=(12, 4))
     xt = rng.normal(size=(5, 4))
-    (base, _, _, _), _ = prt.forward(xs, xt)
+    base, _ = prt.forward(xs, xt)
     perm = rng.permutation(12)
-    (permuted, _, _, _), _ = prt.forward(xs[perm], xt)
+    permuted, _ = prt.forward(xs[perm], xt)
     np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 
 
@@ -146,8 +168,8 @@ def test_prt_template_permutation_invariance():
     rng = np.random.default_rng(19)
     xs = rng.normal(size=(8, 4))
     xt = rng.normal(size=(6, 4))
-    (base, _, _, _), _ = prt.forward(xs, xt)
-    (shuffled, _, _, _), _ = prt.forward(xs, xt[rng.permutation(6)])
+    base, _ = prt.forward(xs, xt)
+    shuffled, _ = prt.forward(xs, xt[rng.permutation(6)])
     np.testing.assert_allclose(shuffled, base, atol=1e-12)
 
 
@@ -162,7 +184,7 @@ def test_prt_grad_check():
     def fn():
         for p in [xs, xt, *prt.params()]:
             p.zero_grad()
-        (xs_hat, _, _, _), cache = prt.forward(xs.value, xt.value)
+        xs_hat, cache = prt.forward(xs.value, xt.value)
         d_xs, d_xt = prt.backward(w_loss, cache)
         xs.grad += d_xs
         xt.grad += d_xt
@@ -176,15 +198,16 @@ def test_prt_grad_check():
 
 def test_cosine_match_one_hot_recovers_rows():
     x = np.eye(3)
-    (out, trace), _ = cosine_match_forward(x, x)
-    assert (np.diag(trace.a) == pytest.approx(1.0)) and trace.a.shape == (3, 3)
+    out, cache = cosine_match_forward(x, x)
+    a, _ = cosine_scores(cache)
+    assert (np.diag(a) == pytest.approx(1.0)) and a.shape == (3, 3)
     # Each output row leans strongly toward its matching template row.
     assert (out.argmax(axis=1) == np.arange(3)).all()
 
 
 def test_cosine_match_shape():
     rng = np.random.default_rng(22)
-    (out, _), _ = cosine_match_forward(rng.normal(size=(7, 4)), rng.normal(size=(3, 4)))
+    out, _ = cosine_match_forward(rng.normal(size=(7, 4)), rng.normal(size=(3, 4)))
     assert out.shape == (7, 4)
 
 
@@ -192,11 +215,11 @@ def test_cosine_match_row_scale_invariant_scores():
     rng = np.random.default_rng(23)
     xs = rng.normal(size=(5, 4))
     xt = rng.normal(size=(3, 4))
-    (_, t0), _ = cosine_match_forward(xs, xt)
+    a0, _ = cosine_scores(cosine_match_forward(xs, xt)[1])
     scaled = xs.copy()
     scaled[2] *= 40.0
-    (_, t1), _ = cosine_match_forward(scaled, xt)
-    np.testing.assert_allclose(t0.a, t1.a, atol=1e-9)
+    a1, _ = cosine_scores(cosine_match_forward(scaled, xt)[1])
+    np.testing.assert_allclose(a0, a1, atol=1e-9)
 
 
 def test_cosine_match_grad_check():
@@ -208,7 +231,7 @@ def test_cosine_match_grad_check():
     def fn():
         xs.zero_grad()
         xt.zero_grad()
-        (out, _), cache = cosine_match_forward(xs.value, xt.value)
+        out, cache = cosine_match_forward(xs.value, xt.value)
         d_xs, d_xt = cosine_match_backward(w_loss, cache)
         xs.grad += d_xs
         xt.grad += d_xt

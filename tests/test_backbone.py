@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from pctrack.backbone import (
-    Backbone,
-    BackbonePlan,
-    BackboneSpec,
-    SALevelSpec,
-    SetAbstraction,
-    select_points,
-)
-from pctrack.config import apply_ablation, build_model_spec, config_for_profile
+from pctrack.backbone import Backbone, BackbonePlan, SetAbstraction, select_points
+from pctrack.checks import tiny_config
+from pctrack.config import RunConfig, apply_ablation, config_for_profile
 from pctrack.geometry import ball_query_padded
 from pctrack.numeric import grad_check
 from pctrack.sampling import SampleSelection, sample_dfps
@@ -17,22 +11,8 @@ from pctrack.sampling import SampleSelection, sample_dfps
 from helpers import reference_sa_backward, reference_sa_forward
 
 
-TINY_SPEC = BackboneSpec(
-    embed_dim=4,
-    levels=(
-        SALevelSpec(radius=0.8, out_template=6, out_search=8, channels=6, max_neighbors=4),
-        SALevelSpec(radius=1.2, out_template=4, out_search=6, channels=8, max_neighbors=4),
-    ),
-)
-
-
-def tiny_backbone(seed=0, dtype=np.float64, **spec_kw):
-    spec = TINY_SPEC if not spec_kw else BackboneSpec(
-        embed_dim=4,
-        levels=TINY_SPEC.levels,
-        **spec_kw,
-    )
-    return Backbone(spec, np.random.default_rng(seed), dtype=dtype)
+def tiny_backbone(seed=0, dtype=np.float64):
+    return Backbone(tiny_config(), np.random.default_rng(seed), dtype=dtype)
 
 
 def tiny_clouds(seed=1, n_t=8, n_s=10, scale=0.5):
@@ -46,8 +26,7 @@ def tiny_clouds(seed=1, n_t=8, n_s=10, scale=0.5):
 def test_sa_single_point_self_neighborhood():
     """With one point, the group is (zero rel coords ++ its own feature)."""
     rng = np.random.default_rng(2)
-    sa = SetAbstraction(5, SALevelSpec(radius=0.5, out_template=1, out_search=1,
-                                       channels=7), rng, "sa", dtype=np.float64)
+    sa = SetAbstraction(5, 7, 0.5, 32, rng, "sa", dtype=np.float64)
     coords = np.array([[0.3, -0.2, 0.1]])
     feats = rng.normal(size=(1, 5))
     sel = SampleSelection(np.array([0]), "dfps")
@@ -60,8 +39,7 @@ def test_sa_single_point_self_neighborhood():
 
 def test_sa_output_row_count_matches_selection():
     rng = np.random.default_rng(3)
-    sa = SetAbstraction(4, SALevelSpec(radius=0.7, out_template=5, out_search=5,
-                                       channels=6), rng, "sa", dtype=np.float64)
+    sa = SetAbstraction(4, 6, 0.7, 32, rng, "sa", dtype=np.float64)
     coords = rng.normal(scale=0.4, size=(20, 3))
     feats = rng.normal(size=(20, 4))
     for k in (1, 5, 12):
@@ -74,9 +52,7 @@ def test_sa_output_row_count_matches_selection():
 def test_sa_pool_invariant_under_point_reordering():
     """Permuting the source points permutes groups but not pooled values."""
     rng = np.random.default_rng(4)
-    sa = SetAbstraction(4, SALevelSpec(radius=0.9, out_template=3, out_search=3,
-                                       channels=8, max_neighbors=16),
-                        rng, "sa", dtype=np.float64)
+    sa = SetAbstraction(4, 8, 0.9, 16, rng, "sa", dtype=np.float64)
     coords = rng.normal(scale=0.4, size=(16, 3))
     feats = rng.normal(size=(16, 4))
     sel = SampleSelection(np.array([2, 7, 11]), "dfps")
@@ -93,9 +69,7 @@ def test_sa_pool_invariant_under_point_reordering():
 def test_sa_split_matmul_matches_plain_concat():
     """The split first-layer trick must equal the naive concat matmul."""
     rng = np.random.default_rng(5)
-    sa = SetAbstraction(6, SALevelSpec(radius=1.0, out_template=4, out_search=4,
-                                       channels=9, max_neighbors=8),
-                        rng, "sa", dtype=np.float64)
+    sa = SetAbstraction(6, 9, 1.0, 8, rng, "sa", dtype=np.float64)
     coords = rng.normal(scale=0.5, size=(12, 3))
     feats = rng.normal(size=(12, 6))
     sel = SampleSelection(np.array([0, 3, 6, 9]), "dfps")
@@ -116,9 +90,7 @@ def test_sa_split_matmul_matches_plain_concat():
 def test_sa_grad_check(use_bn, training):
     """Weight gradients of the pool-then-ReLU level and of the BN level."""
     rng = np.random.default_rng(6)
-    sa = SetAbstraction(3, SALevelSpec(radius=1.0, out_template=3, out_search=3,
-                                       channels=5, max_neighbors=4),
-                        rng, "sa", dtype=np.float64, use_bn=use_bn)
+    sa = SetAbstraction(3, 5, 1.0, 4, rng, "sa", dtype=np.float64, use_bn=use_bn)
     coords = rng.normal(scale=0.5, size=(9, 3))
     feats = rng.normal(size=(9, 3))
     sel = sample_dfps(coords, 3)
@@ -136,9 +108,7 @@ def test_sa_grad_check(use_bn, training):
 
 def test_sa_input_feature_gradient():
     rng = np.random.default_rng(7)
-    sa = SetAbstraction(4, SALevelSpec(radius=1.2, out_template=2, out_search=2,
-                                       channels=6, max_neighbors=8),
-                        rng, "sa", dtype=np.float64)
+    sa = SetAbstraction(4, 6, 1.2, 8, rng, "sa", dtype=np.float64)
     coords = rng.normal(scale=0.4, size=(7, 3))
     from pctrack.numeric import Param
 
@@ -169,9 +139,8 @@ def run_sa_against_padded_reference(dtype, use_bn, training, max_neighbors,
     ref_dtype = ref_dtype or dtype
 
     def make(dt):
-        return SetAbstraction(4, SALevelSpec(radius=0.6, out_template=14, out_search=14,
-                                             channels=6, max_neighbors=max_neighbors),
-                              np.random.default_rng(30), "sa", dtype=dt, use_bn=use_bn)
+        return SetAbstraction(4, 6, 0.6, max_neighbors, np.random.default_rng(30), "sa",
+                              dtype=dt, use_bn=use_bn)
 
     rng = np.random.default_rng(31)
     # A tight cluster fills neighborhoods; far points leave them padded.
@@ -283,7 +252,7 @@ def test_hit_matmul_matches_batched_neighbor_matmul_bitwise(m, in_ch, c):
 
 
 def test_backbone_default_output_shapes():
-    bb = Backbone(BackboneSpec(), np.random.default_rng(8), dtype=np.float32)
+    bb = Backbone(RunConfig(), np.random.default_rng(8), dtype=np.float32)
     rng = np.random.default_rng(9)
     coords_t = rng.normal(scale=1.0, size=(512, 3)).astype(np.float32)
     coords_s = rng.normal(scale=1.5, size=(1024, 3)).astype(np.float32)
@@ -382,27 +351,27 @@ def test_backbone_dfps_selections_equal_per_level_sample_dfps(profile, ablation,
     cfg = config_for_profile(profile)
     if ablation:
         cfg = apply_ablation(cfg, ablation)
-    spec = build_model_spec(cfg).backbone
-    bb = Backbone(spec, np.random.default_rng(0))
+    bb = Backbone(cfg, np.random.default_rng(0))
     rng = np.random.default_rng(n_t)
     # Two decimals make ties between candidate distances common.
     clouds = [np.round(rng.uniform(-2.0, 2.0, size=(n, 3)), 2) for n in (n_t, n_s)]
     (*_, plan), _ = bb.forward(*clouds, np.random.default_rng(1))
-    branches = [(0, spec.template_sampler, "out_template"), (1, spec.search_sampler, "out_search")]
+    branches = [(0, cfg.template_sampler, cfg.sa_template_points),
+                (1, cfg.search_sampler, cfg.sa_search_points)]
     checked = 0
-    for side, sampler, budget in branches:
+    for side, sampler, budgets in branches:
         if sampler != "dfps":
             continue
         pts = clouds[side].astype(bb.dtype)
-        for level, lv in enumerate(spec.levels):
+        for level, budget in enumerate(budgets):
             got = plan.selections[level][side]
-            want = sample_dfps(pts, getattr(lv, budget))
+            want = sample_dfps(pts, budget)
             np.testing.assert_array_equal(got.indices, want.indices)
             assert (got.padded, got.method) == (want.padded, "dfps")
-            assert got.padded == (level == 0 and pts.shape[0] < getattr(lv, budget))
+            assert got.padded == (level == 0 and pts.shape[0] < budget)
             pts = pts[got.indices]
             checked += 1
-    assert checked == len(spec.levels) * (2 if ablation else 1)
+    assert checked == len(cfg.sa_radii) * (2 if ablation else 1)
 
 
 def test_select_points_dispatch():

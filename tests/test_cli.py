@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from pctrack.cli import main, oracle_suite
+import pctrack.cli
+from pctrack.checks import CheckResult, oracle_suite
+from pctrack.cli import main
 from pctrack.evaldata import load_dataset
 
 
@@ -224,9 +226,14 @@ def test_template_relation_sampler_is_validation_error(name, capsys):
     assert "template_sampler" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override", ["sa_max_neighbors=0", "sa_search_points=0,16"])
+@pytest.mark.parametrize("override", [
+    "sa_max_neighbors=0", "sa_search_points=0,16",
+    pytest.param("sa_radii= sa_template_points= sa_search_points= sa_channels=",
+                 id="no-levels"),
+])
 def test_counts_below_one_are_validation_errors(override, capsys):
-    rc = main(["bench", "--profile", "tiny", "--set", override,
+    sets = [arg for item in override.split() for arg in ("--set", item)]
+    rc = main(["bench", "--profile", "tiny", *sets,
                "--template", "32", "--search", "64", "--repeats", "1", "--warmup", "0"])
     assert rc == 1
     assert override.split("=")[0] in capsys.readouterr().err
@@ -262,3 +269,15 @@ def test_ablation_flag_changes_model(small_dataset, tmp_path):
 
 def test_oracle_suite_is_green():
     assert all(r.ok for r in oracle_suite())
+
+
+@pytest.mark.parametrize("failing", [False, True])
+def test_check_exit_code_follows_results(failing, monkeypatch, capsys):
+    grad = [CheckResult("grad-a", "ok", True), CheckResult("grad-b", "bad", not failing)]
+    monkeypatch.setattr(pctrack.cli, "gradient_suite", lambda: grad)
+    monkeypatch.setattr(pctrack.cli, "oracle_suite",
+                        lambda: [CheckResult("oracle-a", "ok", True)])
+    assert main(["check"]) == (1 if failing else 0)
+    out = capsys.readouterr().out
+    assert ("FAIL  grad-b" in out) == failing
+    assert "PASS  grad-a" in out and "PASS  oracle-a" in out

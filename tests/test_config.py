@@ -3,13 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pctrack.backbone import SAMPLER_NAMES, BackboneSpec, SALevelSpec
+import pctrack
+from pctrack.backbone import SAMPLER_NAMES
 from pctrack.config import (
     PROFILES,
     RunConfig,
     apply_overrides,
     build_model,
-    build_model_spec,
     config_for_profile,
     load_config,
     save_config,
@@ -25,9 +25,9 @@ def test_default_config_validates():
 @pytest.mark.parametrize("name", sorted(PROFILES))
 def test_profiles_validate_and_build_specs(name):
     cfg = config_for_profile(name)
-    spec = build_model_spec(cfg)
-    assert spec.heads.channels == spec.backbone.out_channels
-    assert len(spec.backbone.levels) == len(cfg.sa_radii)
+    model = build_model(cfg)
+    assert len(model.backbone.levels) == len(cfg.sa_radii)
+    assert model.heads.coarse_cls.layers[0].weight.value.shape[1] == cfg.sa_channels[-1]
 
 
 def test_unknown_profile_rejected():
@@ -110,23 +110,19 @@ def test_validate_rejects_inconsistencies():
         dataclasses.replace(RunConfig(), lam=-0.5).validate()
 
 
+NO_LEVELS = "sa_radii= sa_template_points= sa_search_points= sa_channels="
+
+
 @pytest.mark.parametrize("override,message", [
     ("sa_max_neighbors=0", "sa_max_neighbors"),
     ("sa_search_points=0,16", "sa_search_points"),
     ("sa_template_points=16,-1", "sa_template_points"),
+    pytest.param(NO_LEVELS, "at least one level", id="no-levels"),
 ])
 def test_counts_below_one_rejected(override, message):
     """These used to validate and then fail in the first forward pass."""
     with pytest.raises(ValueError, match=message):
-        apply_overrides(config_for_profile("tiny"), [override])
-
-
-@pytest.mark.parametrize("field", ["max_neighbors", "out_template", "out_search"])
-def test_sa_level_spec_rejects_counts_below_one(field):
-    kw = dict(radius=0.3, out_template=8, out_search=16, channels=8, max_neighbors=4)
-    SALevelSpec(**kw)
-    with pytest.raises(ValueError, match=">= 1"):
-        SALevelSpec(**{**kw, field: 0})
+        apply_overrides(config_for_profile("tiny"), override.split())
 
 
 @pytest.mark.parametrize("name", ["ras", "hybrid"])
@@ -135,9 +131,12 @@ def test_relation_samplers_rejected_for_template_branch(name):
     with pytest.raises(ValueError, match="template_sampler"):
         RunConfig(template_sampler=name).validate()
     with pytest.raises(ValueError, match="template_sampler"):
-        BackboneSpec(template_sampler=name)
-    with pytest.raises(ValueError, match="template_sampler"):
         apply_overrides(RunConfig(), [f"template_sampler={name}"])
+
+
+def test_every_public_name_imports():
+    for name in pctrack.__all__:
+        exec(f"from pctrack import {name}", {})
 
 
 def test_odd_counts_fine_for_non_hybrid_sampler():

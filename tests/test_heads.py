@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from pctrack.checks import tiny_config
 from pctrack.geometry import Box3D
 from pctrack.heads import (
     Heads,
-    HeadSpec,
     Prediction,
     decode_box,
     local_pool_backward,
@@ -19,11 +19,12 @@ from pctrack.numeric import Param, grad_check
 from helpers import reference_local_pool_backward, reference_local_pool_forward
 
 
-SMALL_SPEC = HeadSpec(channels=6, coarse_hidden=(8, 8), refine_hidden=(10, 8, 8, 6))
+SMALL_CONFIG = tiny_config(sa_channels=(6, 6), coarse_hidden=(8, 8),
+                           refine_hidden=(10, 8, 8, 6))
 
 
 def small_heads(seed=0):
-    return Heads(SMALL_SPEC, np.random.default_rng(seed), dtype=np.float64)
+    return Heads(SMALL_CONFIG, np.random.default_rng(seed), dtype=np.float64)
 
 
 def make_pred(cls_col, reg):

@@ -27,7 +27,6 @@ from pctrack.pipeline import (
     training_pairs,
 )
 
-from pctrack.config import build_model_spec
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +232,7 @@ def test_one_tracklet_loss_decreases():
     cfg.seed = 4
     tr = synth_tracklet(SynthSpec(n_frames=3, points_on_object=40, n_clutter=30,
                                   velocity=(0.3, 0.0, 0.0)), seed=9)
-    model = TrackerModel(build_model_spec(cfg), init_seed=cfg.seed)
+    model = TrackerModel(cfg)
     history = train([tr], model, cfg)
     assert len(history) == 3
     assert set(history[0]) == {"epoch", "lr", "total", "cls_coarse", "reg_coarse",
@@ -247,7 +246,7 @@ def test_training_is_reproducible():
     tr = synth_tracklet(SynthSpec(n_frames=3, points_on_object=30, n_clutter=20), seed=3)
     runs = []
     for _ in range(2):
-        model = TrackerModel(build_model_spec(cfg), init_seed=cfg.seed)
+        model = TrackerModel(cfg)
         runs.append(train([tr], model, cfg))
     assert runs[0] == runs[1]
 
@@ -255,7 +254,7 @@ def test_training_is_reproducible():
 def test_train_requires_pairs():
     cfg = config_for_profile("tiny")
     tr = synth_tracklet(SynthSpec(n_frames=1, points_on_object=10, n_clutter=0), seed=0)
-    model = TrackerModel(build_model_spec(cfg), init_seed=0)
+    model = TrackerModel(cfg)
     with pytest.raises(ValueError, match="pairs"):
         train([tr], model, cfg)
 
@@ -365,7 +364,7 @@ def test_real_model_runs_through_loop():
                         seed=17)
     frames = [c for c, _ in tr.frames]
     init = tr.frames[0][1]
-    model = TrackerModel(build_model_spec(cfg), init_seed=0)
+    model = TrackerModel(cfg)
     boxes, reasons = track_sequence(frames, init, model, np.random.default_rng(5))
     assert len(boxes) == 3 and reasons == [None] * 3
     for b in boxes:
