@@ -36,10 +36,10 @@ from .evaldata import (
     load_dataset,
     save_dataset,
     synth_tracklet,
+    track_tracklet,
 )
-from .geometry import box_iou_3d
 from .model import TrackerModel
-from .pipeline import OracleModel, track_sequence, train
+from .pipeline import LOSS_KEYS, OracleModel, train
 
 # ---------------------------------------------------------------------------
 # Config resolution shared by train/track/eval/bench
@@ -151,14 +151,11 @@ def cmd_train(args) -> int:
         print("0 epochs requested; writing the initialization checkpoint")
     model.save(out / "model.ckpt")
     save_config(cfg, out / "config.cfg")
+    columns = ["epoch", *LOSS_KEYS, "lr"]
     with open(out / "train_log.csv", "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["epoch", "total", "cls_coarse", "reg_coarse",
-                    "cls_refine", "reg_refine", "lr"])
-        for row in history:
-            w.writerow([row["epoch"], row["total"], row["cls_coarse"],
-                        row["reg_coarse"], row["cls_refine"],
-                        row["reg_refine"], row["lr"]])
+        w.writerow(columns)
+        w.writerows([row[k] for k in columns] for row in history)
     print(f"wrote {out / 'model.ckpt'}")
     return 0
 
@@ -177,12 +174,9 @@ def cmd_track(args) -> int:
                          f"(dataset has {len(tracklets)})")
     tracklet = tracklets[args.index]
     model = _load_model(cfg, args.ckpt)
-    rng = np.random.default_rng(cfg.seed)
-    frames = [cloud for cloud, _ in tracklet.frames]
-    gt = [box for _, box in tracklet.frames]
-    boxes, reasons = track_sequence(frames, gt[0], model, rng,
-                                    extend_ratio=cfg.template_extend_ratio,
-                                    margin_m=cfg.search_margin_m)
+    boxes, reasons, ious, _ = track_tracklet(
+        tracklet, model, np.random.default_rng(cfg.seed),
+        cfg.template_extend_ratio, cfg.search_margin_m)
     out = _out_dir(args)
     path = out / "boxes.csv"
     with open(path, "w", newline="") as f:
@@ -191,7 +185,6 @@ def cmd_track(args) -> int:
                     "yaw", "held_reason"])
         for i, (b, reason) in enumerate(zip(boxes, reasons)):
             w.writerow([i, *b.as_array7().tolist(), reason or ""])
-    ious = [box_iou_3d(p, g) for p, g in zip(boxes[1:], gt[1:])]
     if ious:
         print(f"tracked {tracklet.object_id}: mean IoU {float(np.mean(ious)):.3f} "
               f"over {len(ious)} predicted frames")
@@ -214,12 +207,11 @@ def cmd_eval(args) -> int:
                       model_builder=builder, extend_ratio=cfg.template_extend_ratio,
                       margin_m=cfg.search_margin_m)
 
-    rows = [*sorted(report.per_class), "average"]
+    rows = [[name, e["success"], e["precision"], e["frames"]] for name, e in
+            [*sorted(report.per_class.items()), ("average", report.average)]]
     print(f"{'class':<12} {'success':>8} {'precision':>10} {'frames':>7}")
-    for name in rows:
-        entry = report.average if name == "average" else report.per_class[name]
-        print(f"{name:<12} {entry['success']:>8.1f} {entry['precision']:>10.1f} "
-              f"{entry['frames']:>7d}")
+    for name, success, precision, frames in rows:
+        print(f"{name:<12} {success:>8.1f} {precision:>10.1f} {frames:>7d}")
     for failure in report.failures:
         print(f"failed tracklet {failure['tracklet']}: {failure['error']}",
               file=sys.stderr)
@@ -232,10 +224,7 @@ def cmd_eval(args) -> int:
         with open(out / "eval.csv", "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["class", "success", "precision", "frames"])
-            for name in rows:
-                entry = report.average if name == "average" else report.per_class[name]
-                w.writerow([name, entry["success"], entry["precision"],
-                            entry["frames"]])
+            w.writerows(rows)
         print(f"wrote {out / 'eval.json'} and {out / 'eval.csv'}")
     return 0
 

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import RunConfig
 from .geometry import Box3D, PointCloud, box_iou_3d, from_box_frame, points_in_box
 from .pipeline import track_sequence
 
@@ -160,17 +161,14 @@ def _surface_pattern(rng: np.random.Generator, size, n: int) -> np.ndarray:
     l, w, h = size
     areas = np.array([w * h, w * h, l * h, l * h, l * w, l * w])
     faces = rng.choice(6, size=n, p=areas / areas.sum())
-    u = rng.uniform(-0.5, 0.5, size=(n, 2))
-    pts = np.zeros((n, 3))
-    for i, f in enumerate(faces):
-        a, b = u[i]
-        if f < 2:       # +-x faces
-            pts[i] = [(0.5 if f == 0 else -0.5) * l, a * w, b * h]
-        elif f < 4:     # +-y faces
-            pts[i] = [a * l, (0.5 if f == 2 else -0.5) * w, b * h]
-        else:           # +-z faces
-            pts[i] = [a * l, b * w, (0.5 if f == 4 else -0.5) * h]
-    return pts
+    a, b = rng.uniform(-0.5, 0.5, size=(n, 2)).T
+    axis = faces // 2                          # 0: +-x, 1: +-y, 2: +-z faces
+    side = np.where(faces % 2 == 0, 0.5, -0.5)
+    return np.column_stack([
+        np.where(axis == 0, side * l, a * l),
+        np.select([axis == 0, axis == 1], [a * w, side * w], b * w),
+        np.where(axis == 2, side * h, b * h),
+    ])
 
 
 def synth_tracklet(spec: SynthSpec, seed: int) -> Tracklet:
@@ -239,87 +237,81 @@ class EvalReport:
                 "failures": self.failures}
 
 
-def _eval_one(tracklet: Tracklet, model, seed: int, index: int,
-              extend_ratio: float, margin_m: float):
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-    frames = [cloud for cloud, _ in tracklet.frames]
+def track_tracklet(tracklet: Tracklet, model, rng: np.random.Generator,
+                   extend_ratio: float = RunConfig.template_extend_ratio,
+                   margin_m: float = RunConfig.search_margin_m):
+    """Track a tracklet from its first ground-truth box.
+
+    Returns ``(boxes, reasons, ious, dists)``: ``track_sequence``'s boxes and
+    held reasons, then the IoU and centre distance (m) of every predicted
+    box against ground truth. The first frame is initialization, not a
+    prediction, so it has no IoU or distance.
+    """
     gt = [box for _, box in tracklet.frames]
-    boxes, _reasons = track_sequence(frames, gt[0], model, rng,
-                                     extend_ratio=extend_ratio, margin_m=margin_m)
+    boxes, reasons = track_sequence([cloud for cloud, _ in tracklet.frames], gt[0],
+                                    model, rng, extend_ratio=extend_ratio,
+                                    margin_m=margin_m)
     ious = [box_iou_3d(p, g) for p, g in zip(boxes[1:], gt[1:])]
     dists = [float(np.linalg.norm(p.center - g.center))
              for p, g in zip(boxes[1:], gt[1:])]
-    return ious, dists
+    return boxes, reasons, ious, dists
+
+
+def _summary(runs) -> dict:
+    """Success, Precision and frame count over the predicted frames of
+    ``track_tracklet`` results."""
+    ious = [v for run in runs for v in run[2]]
+    dists = [d for run in runs for d in run[3]]
+    return {"success": success_metric(ious), "precision": precision_metric(dists),
+            "frames": len(ious)}
 
 
 def evaluate(tracklets, model, seed: int = 0, threads: int = 1,
-             model_builder=None, extend_ratio: float = 0.1,
-             margin_m: float = 2.0) -> EvalReport:
+             model_builder=None,
+             extend_ratio: float = RunConfig.template_extend_ratio,
+             margin_m: float = RunConfig.search_margin_m) -> EvalReport:
     """Run the tracker over every tracklet and aggregate Success/Precision.
 
-    The first frame of each tracklet is initialization, not a prediction,
-    so it contributes no metric sample. Tracklets that raise are reported
-    as failures and the rest still count. ``model_builder(i, tracklet)``,
-    when given, supplies a per-tracklet model instead of the shared one.
+    Tracklet ``i`` draws from its own RNG stream, spawned from ``seed``.
+    Tracklets that raise are reported as failures, in tracklet order, and
+    the rest still count. ``model_builder(i, tracklet)``, when given,
+    supplies a per-tracklet model instead of the shared one.
     ``extend_ratio`` and ``margin_m`` set the template and search crops as
     in ``track_sequence``.
     """
     if not tracklets:
         raise ValueError("evaluate needs at least one tracklet")
-    results: list = [None] * len(tracklets)
-    failures = []
 
     def run(i):
-        m = model if model_builder is None else model_builder(i, tracklets[i])
-        return _eval_one(tracklets[i], m, seed, i, extend_ratio, margin_m)
+        try:
+            m = model if model_builder is None else model_builder(i, tracklets[i])
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+            return track_tracklet(tracklets[i], m, rng, extend_ratio, margin_m)
+        except Exception as e:  # noqa: BLE001 - per-tracklet isolation
+            return {"tracklet": i, "error": str(e)}
 
+    # One thread runs inline, on the caller's stack: perfbench's tracer keeps
+    # a single span stack.
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {i: pool.submit(run, i) for i in range(len(tracklets))}
-        for i, fut in futures.items():
-            try:
-                results[i] = fut.result()
-            except Exception as e:  # noqa: BLE001 - per-tracklet isolation
-                failures.append({"tracklet": i, "error": str(e)})
+            results = list(pool.map(run, range(len(tracklets))))
     else:
-        for i in range(len(tracklets)):
-            try:
-                results[i] = run(i)
-            except Exception as e:  # noqa: BLE001 - per-tracklet isolation
-                failures.append({"tracklet": i, "error": str(e)})
+        results = [run(i) for i in range(len(tracklets))]
+    failures = [r for r in results if isinstance(r, dict)]
 
-    by_class: dict[str, tuple[list, list]] = {}
+    by_class: dict[str, list] = {}
     for tracklet, res in zip(tracklets, results):
-        if res is None:
-            continue
-        ious, dists = res
-        acc = by_class.setdefault(tracklet.label, ([], []))
-        acc[0].extend(ious)
-        acc[1].extend(dists)
-
-    per_class = {}
-    all_ious: list = []
-    all_dists: list = []
-    for label in sorted(by_class):
-        ious, dists = by_class[label]
-        if not ious:
-            continue
-        per_class[label] = {
-            "success": success_metric(ious),
-            "precision": precision_metric(dists),
-            "frames": len(ious),
-        }
-        all_ious.extend(ious)
-        all_dists.extend(dists)
-    if not all_ious:
+        if not isinstance(res, dict):
+            by_class.setdefault(tracklet.label, []).append(res)
+    labels = [label for label in sorted(by_class)
+              if any(res[2] for res in by_class[label])]
+    if not labels:
         raise ValueError("no tracklet evaluated successfully: "
                          + "; ".join(f["error"] for f in failures))
-    average = {
-        "success": success_metric(all_ious),
-        "precision": precision_metric(all_dists),
-        "frames": len(all_ious),
-    }
-    return EvalReport(per_class=per_class, average=average, failures=failures)
+    return EvalReport(
+        per_class={label: _summary(by_class[label]) for label in labels},
+        average=_summary([res for label in labels for res in by_class[label]]),
+        failures=failures)
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ class TrackerModel:
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
         """Copies every parameter and buffer in place; nothing is written
-        unless every name and shape matches."""
+        unless every name and shape matches and every value is finite."""
         own = self.state_dict()
         missing = set(own) - set(state)
         extra = set(state) - set(own)
@@ -108,6 +108,8 @@ class TrackerModel:
         for name, target in own.items():
             if incoming[name].shape != target.shape:
                 raise ValueError(f"{name}: shape {incoming[name].shape} != {target.shape}")
+            if not np.isfinite(incoming[name]).all():
+                raise ValueError(f"{name}: non-finite values in checkpoint")
         for name, target in own.items():
             target[...] = incoming[name]
 

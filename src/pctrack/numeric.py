@@ -423,7 +423,7 @@ def lr_at_epoch(lr0: float, divisor: float, step_epochs: int, epoch: int) -> flo
 
 
 def grad_check(fn: Callable[[], float], params: Sequence[Param],
-               h: float = 1e-5, tol: float = 1e-4) -> float:
+               h: float = 1e-5) -> float:
     """Compare analytic gradients against central differences.
 
     ``fn`` must zero gradients, run forward and backward, and return the

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .geometry import (
     Box3D,
     PointCloud,
@@ -60,6 +61,9 @@ def make_targets(seed_coords: np.ndarray, gt_box: Box3D,
 # Loss
 # ---------------------------------------------------------------------------
 
+# Loss components, in the order of the training log's columns.
+LOSS_KEYS = ("total", "cls_coarse", "reg_coarse", "cls_refine", "reg_refine")
+
 
 def total_loss_forward(coarse: Prediction, refined: Prediction | None,
                        targets: Targets, lam: float):
@@ -75,13 +79,7 @@ def total_loss_forward(coarse: Prediction, refined: Prediction | None,
         bce_f = mse_f = 0.0
         c_bce_f = c_mse_f = None
     total = bce_c + mse_c + lam * (bce_f + mse_f)
-    components = {
-        "total": total,
-        "cls_coarse": bce_c,
-        "reg_coarse": mse_c,
-        "cls_refine": bce_f,
-        "reg_refine": mse_f,
-    }
+    components = dict(zip(LOSS_KEYS, (total, bce_c, mse_c, bce_f, mse_f)))
     cache = (c_bce_c, c_mse_c, c_bce_f, c_mse_f, lam)
     return total, components, cache
 
@@ -112,12 +110,26 @@ class TrainingSample:
     gt_canonical: Box3D
 
 
+def _search_crop(cloud: PointCloud, box: Box3D, margin_m: float,
+                 frame: Box3D) -> np.ndarray | None:
+    """Points inside ``box`` grown by ``margin_m``, in ``frame``'s coordinates;
+    None when there are none."""
+    # points_in_box is called here, not through crop_template: perfbench's
+    # tracer starts a tracking step at each points_in_box call whose nearest
+    # traced caller is track_sequence.
+    mask = points_in_box(cloud, enlarge_box(box, margin_m))
+    if not mask.any():
+        return None
+    return to_box_frame(cloud.coords[mask], frame)
+
+
 def build_training_sample(prev_cloud: PointCloud, prev_box: Box3D,
                           cur_cloud: PointCloud, cur_box: Box3D,
                           rng: np.random.Generator,
-                          extend_ratio: float = 0.1,
-                          distort_range_m: float = 0.3,
-                          search_margin_m: float = 2.0) -> TrainingSample | None:
+                          extend_ratio: float = RunConfig.template_extend_ratio,
+                          distort_range_m: float = RunConfig.distort_range_m,
+                          search_margin_m: float = RunConfig.search_margin_m,
+                          ) -> TrainingSample | None:
     """Crop one training pair; None when a crop comes up empty.
 
     The template box is jittered to imitate imperfect previous predictions;
@@ -130,13 +142,12 @@ def build_training_sample(prev_cloud: PointCloud, prev_box: Box3D,
         template = crop_template(prev_cloud, ref, extend_ratio)
         if template.n == 0:
             return None
-    region = enlarge_box(prev_box, search_margin_m)
-    mask = points_in_box(cur_cloud, region)
-    if not mask.any():
+    search_xyz = _search_crop(cur_cloud, prev_box, search_margin_m, ref)
+    if search_xyz is None:
         return None
     return TrainingSample(
         template_xyz=to_box_frame(template.coords, ref),
-        search_xyz=to_box_frame(cur_cloud.coords[mask], ref),
+        search_xyz=search_xyz,
         gt_canonical=box_to_frame(cur_box, ref),
     )
 
@@ -172,8 +183,7 @@ def train(tracklets, model, cfg, progress=None):
     history = []
     for epoch in range(cfg.epochs):
         lr = lr_at_epoch(cfg.lr, cfg.lr_divisor, cfg.lr_step_epochs, epoch)
-        sums = {"total": 0.0, "cls_coarse": 0.0, "reg_coarse": 0.0,
-                "cls_refine": 0.0, "reg_refine": 0.0}
+        sums = dict.fromkeys(LOSS_KEYS, 0.0)
         n_samples = 0
         for start in range(0, len(pairs), cfg.batch_size):
             batch = pairs[start:start + cfg.batch_size]
@@ -240,7 +250,8 @@ class OracleModel:
 
 
 def track_sequence(frames, init_box: Box3D, model, rng: np.random.Generator,
-                   extend_ratio: float = 0.1, margin_m: float = 2.0):
+                   extend_ratio: float = RunConfig.template_extend_ratio,
+                   margin_m: float = RunConfig.search_margin_m):
     """Frame-by-frame tracking; returns (boxes, reasons).
 
     reasons[i] is None for a tracked frame. Where the previous box is
@@ -258,13 +269,11 @@ def track_sequence(frames, init_box: Box3D, model, rng: np.random.Generator,
     template_xyz = to_box_frame(template_cloud.coords, init_box)
     ref = init_box
     for i in range(1, len(frames)):
-        region = enlarge_box(ref, margin_m)
-        mask = points_in_box(frames[i], region)
-        if not mask.any():
+        search_xyz = _search_crop(frames[i], ref, margin_m, ref)
+        if search_xyz is None:
             boxes.append(ref)
             reasons.append("empty_search")
             continue
-        search_xyz = to_box_frame(frames[i].coords[mask], ref)
         pred, seeds = model.predict_canonical(template_xyz, search_xyz, ref, i, rng)
         if not np.isfinite(pred.reg[pred.best_index()]).all():
             boxes.append(ref)

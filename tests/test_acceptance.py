@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,11 +40,15 @@ from pctrack.geometry import Box3D, box_iou_3d
 from pctrack.pipeline import train
 from pctrack.sampling import sample_dfps, sample_ffps, sample_hybrid, sample_random, sample_ras
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 def _run_cli(args, cwd=None):
     env = os.environ.copy()
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "pctrack.cli", *args],
         capture_output=True, text=True, cwd=cwd, env=env)

@@ -293,6 +293,30 @@ def test_backbone_translation_invariance():
     np.testing.assert_allclose(xs0, xs1, atol=1e-5)
 
 
+@pytest.mark.parametrize("sampler", ["dfps", "ffps", "ras", "hybrid", "random"])
+def test_backbone_translation_invariance_is_exact_on_dyadic_grid(sampler):
+    """No plan replay: with dyadic coordinates, power-of-two point counts and
+    a dyadic shift, every distance and the embedding origin are exact, so a
+    fresh forward with the same rng seed selects the same points and gives
+    bitwise-identical features."""
+    bb = Backbone(tiny_config(search_sampler=sampler), np.random.default_rng(14),
+                  dtype=np.float32)
+    grid = np.random.default_rng(15)
+    coords_t = grid.integers(-16, 17, size=(16, 3)) / 32.0
+    coords_s = grid.integers(-32, 33, size=(32, 3)) / 32.0
+    shift = np.array([4.0, -7.5, 2.25])
+    runs = [bb.forward(coords_t + d, coords_s + d, np.random.default_rng(16))[0]
+            for d in (0.0, shift)]
+    (ct0, xt0, cs0, xs0, plan0), (ct1, xt1, cs1, xs1, plan1) = runs
+    for (t0, s0), (t1, s1) in zip(plan0.selections, plan1.selections):
+        np.testing.assert_array_equal(t0.indices, t1.indices)
+        np.testing.assert_array_equal(s0.indices, s1.indices)
+    np.testing.assert_array_equal(ct1 - shift.astype(np.float32), ct0)
+    np.testing.assert_array_equal(cs1 - shift.astype(np.float32), cs0)
+    assert xt0.tobytes() == xt1.tobytes()
+    assert xs0.tobytes() == xs1.tobytes()
+
+
 def test_backbone_weight_sharing_is_structural():
     bb = tiny_backbone(seed=17)
     coords_t, coords_s = tiny_clouds(seed=18)

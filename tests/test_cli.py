@@ -8,6 +8,7 @@ import pctrack.cli
 from pctrack.checks import CheckResult, oracle_suite
 from pctrack.cli import main
 from pctrack.evaldata import load_dataset
+from pctrack.numeric import load_checkpoint, save_checkpoint
 
 
 def _filecmp(a, b):
@@ -120,6 +121,24 @@ def test_track_index_out_of_range(small_dataset, tmp_path):
                str(run / "model.ckpt"), "--out", str(tmp_path / "t"),
                "--index", "9"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("command", ["track", "eval"])
+def test_non_finite_checkpoint_is_validation_error(small_dataset, tmp_path, capsys,
+                                                   command):
+    run = tmp_path / "run"
+    main(["train", "--data", str(small_dataset), "--out", str(run),
+          "--profile", "tiny", "--epochs", "0"])
+    state = load_checkpoint(run / "model.ckpt")
+    name = next(iter(state))
+    state[name].reshape(-1)[0] = np.nan
+    save_checkpoint(run / "model.ckpt", state)
+    capsys.readouterr()
+    rc = main([command, "--data", str(small_dataset), "--ckpt",
+               str(run / "model.ckpt"), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert name in err and "non-finite" in err
 
 
 def test_eval_needs_model_xor_oracle(small_dataset, tmp_path):

@@ -1,8 +1,11 @@
+import dataclasses
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+from pctrack.config import RunConfig
 from pctrack.evaldata import (
     EvalReport,
     SynthSpec,
@@ -17,11 +20,12 @@ from pctrack.evaldata import (
     save_tracklet,
     success_metric,
     synth_tracklet,
+    track_tracklet,
     _write_cloud_bin,
 )
 from pctrack.geometry import Box3D, PointCloud, points_in_box
 from pctrack.heads import Prediction
-from pctrack.pipeline import OracleModel
+from pctrack.pipeline import OracleModel, build_training_sample, track_sequence
 
 
 class StayPutModel:
@@ -255,13 +259,17 @@ def test_per_class_split_and_weighted_average():
     assert report.average["success"] == pytest.approx(total / 9.0, abs=1e-9)
 
 
-def test_failed_tracklet_is_isolated():
-    good = _static_tracklet("car", 1, "ok")
+def _broken_tracklet():
+    """Its initial template crop is empty, so tracking it raises."""
     box = Box3D((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0)
     far = PointCloud(np.full((5, 3), 60.0))
-    broken = Tracklet(object_id="bad", label="car",
-                      frames=[(far, box), (far, box), (far, box)])
-    report = evaluate([broken, good], StayPutModel(), seed=0)
+    return Tracklet(object_id="bad", label="car",
+                    frames=[(far, box), (far, box), (far, box)])
+
+
+def test_failed_tracklet_is_isolated():
+    good = _static_tracklet("car", 1, "ok")
+    report = evaluate([_broken_tracklet(), good], StayPutModel(), seed=0)
     assert len(report.failures) == 1
     assert report.failures[0]["tracklet"] == 0
     assert "template" in report.failures[0]["error"]
@@ -269,21 +277,39 @@ def test_failed_tracklet_is_isolated():
 
 
 def test_all_failures_raise():
-    box = Box3D((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0)
-    far = PointCloud(np.full((5, 3), 60.0))
-    broken = Tracklet(object_id="bad", label="car",
-                      frames=[(far, box), (far, box), (far, box)])
     with pytest.raises(ValueError, match="no tracklet"):
-        evaluate([broken], StayPutModel(), seed=0)
+        evaluate([_broken_tracklet()], StayPutModel(), seed=0)
     with pytest.raises(ValueError, match="at least one"):
         evaluate([], StayPutModel(), seed=0)
 
 
 def test_threaded_evaluation_matches_serial():
     tracklets = [_static_tracklet("car", s, f"c{s}") for s in range(4)]
+    tracklets[1:1] = [_broken_tracklet()]
+    tracklets[4:4] = [_broken_tracklet()]
     serial = evaluate(tracklets, StayPutModel(), seed=3, threads=1)
     threaded = evaluate(tracklets, StayPutModel(), seed=3, threads=3)
     assert serial.to_dict() == threaded.to_dict()
+    assert [f["tracklet"] for f in serial.failures] == [1, 4]
+
+
+def test_protocol_defaults_come_from_run_config():
+    field_of = {"extend_ratio": "template_extend_ratio",
+                "margin_m": "search_margin_m",
+                "search_margin_m": "search_margin_m",
+                "distort_range_m": "distort_range_m"}
+    expected = {
+        build_training_sample: {"extend_ratio", "distort_range_m", "search_margin_m"},
+        track_sequence: {"extend_ratio", "margin_m"},
+        track_tracklet: {"extend_ratio", "margin_m"},
+        evaluate: {"extend_ratio", "margin_m"},
+    }
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    for fn, names in expected.items():
+        params = inspect.signature(fn).parameters
+        assert set(params) & set(field_of) == names, fn.__name__
+        for name in names:
+            assert params[name].default == defaults[field_of[name]], (fn.__name__, name)
 
 
 class CropRecorder(OracleModel):

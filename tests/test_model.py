@@ -151,6 +151,25 @@ def test_model_checkpoint_rejects_buffer_of_wrong_shape(tmp_path):
         np.testing.assert_array_equal(value, before[name])
 
 
+@pytest.mark.parametrize("entry,bad", [
+    ("backbone.embed.0.weight", np.nan),
+    ("backbone.embed.0.bn.running_var", np.inf),
+])
+def test_model_checkpoint_rejects_non_finite_values(tmp_path, entry, bad):
+    """A checksummed checkpoint with one non-finite weight or buffer is
+    refused by name, and the load writes nothing."""
+    model = TrackerModel(tiny_config(seed=7, use_bn=True))
+    state = {name: value.copy() for name, value in model.state_dict().items()}
+    state[entry].reshape(-1)[0] = bad
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, state)
+    before = {name: value.copy() for name, value in model.state_dict().items()}
+    with pytest.raises(ValueError, match=entry.replace(".", r"\.")):
+        model.load(path)
+    for name, value in model.state_dict().items():
+        np.testing.assert_array_equal(value, before[name])
+
+
 # ---------------------------------------------------------------- construction
 
 
