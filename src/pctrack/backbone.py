@@ -111,10 +111,8 @@ class SetAbstraction:
                 selection: SampleSelection, training: bool = False):
         sel = selection.indices
         centroids = coords[sel]
-        # A centroid is always within radius of itself, so every row has a
-        # hit; fill_idx only matters for padded duplicate centroids.
-        idx, counts = ball_query_padded(
-            centroids, coords, self.radius, self.max_neighbors, fill_idx=sel)
+        # A centroid's exact distance to itself is 0, so every row has a hit.
+        idx, counts = ball_query_padded(centroids, coords, self.radius, self.max_neighbors)
         order, src, rowpos, sizes = jagged_layout(idx, counts)
         rel = (coords[src] - centroids[order[rowpos]]).astype(feats.dtype)
         w_feat = self.linear.weight.value[:, : self.in_ch]

@@ -1,6 +1,6 @@
 """Self-checks: finite-difference gradient checks of every differentiable
 block and of the composed network, and brute-force oracles for the
-samplers, the box IoU and the metrics.
+samplers, the ball query, the box IoU and the metrics.
 
 ``pctrack check`` runs both suites; the tests use the same oracles and the
 same tiny check model.
@@ -17,7 +17,7 @@ from .attention import PointRelationTransformer, RelationAttention
 from .backbone import SetAbstraction
 from .config import RunConfig
 from .evaldata import precision_metric, success_metric
-from .geometry import Box3D, box_iou_3d, points_in_box
+from .geometry import Box3D, ball_query_padded, box_iou_3d, pair_sq_dist, points_in_box
 from .model import TrackerModel
 from .numeric import MLP, grad_check
 from .pipeline import make_targets, total_loss_backward, total_loss_forward
@@ -196,6 +196,23 @@ def ras_sort_oracle(search_feats: np.ndarray, template_feats: np.ndarray, k: int
     return sorted(range(len(v)), key=lambda i: (v[i], i))[:k]
 
 
+def brute_ball_query(queries, cloud, radius: float, max_k: int) -> list[np.ndarray]:
+    """Each query's lowest max_k in-radius cloud indices, every pair's
+    ``pair_sq_dist`` compared with ``radius²``: no filter, no GEMM."""
+    cloud = np.atleast_2d(cloud)
+    return [np.flatnonzero(pair_sq_dist(np.broadcast_to(q, cloud.shape), cloud)
+                           <= radius * radius)[:max_k] for q in np.atleast_2d(queries)]
+
+
+def ball_query_matches(queries, cloud, radius: float, max_k: int) -> bool:
+    """``ball_query_padded`` has ``brute_ball_query``'s counts and neighbors,
+    and pads each row with its first entry (index 0 when the row is empty)."""
+    idx, counts = ball_query_padded(queries, cloud, radius, max_k)
+    want = brute_ball_query(queries, cloud, radius, max_k)
+    return all(n == len(w) and (row[:n] == w).all() and (row[n:] == row[0]).all()
+               for row, n, w in zip(idx, counts, want))
+
+
 def mc_box_iou(a: Box3D, b: Box3D, n_samples: int, rng: np.random.Generator) -> float:
     """Monte-Carlo IoU: uniform samples over the joint AABB, membership counting."""
     corners = []
@@ -268,4 +285,20 @@ def oracle_suite() -> list[CheckResult]:
     p = precision_metric(np.ones(10))
     results.append(CheckResult("precision-metric-step",
                                f"all-1m errors -> {p:.3f}", abs(p - 50.0) < 0.5))
+
+    # Random clouds, then points on the query spheres 1e5 m from the origin,
+    # where only the exact pair distance tells which side of r² they are.
+    ball_ok = True
+    for trial in range(20):
+        cloud = rng.uniform(-2, 2, size=(int(rng.integers(1, 200)), 3))
+        queries = rng.uniform(-2, 2, size=(int(rng.integers(1, 40)), 3))
+        ball_ok &= ball_query_matches(queries, cloud, float(rng.uniform(0.2, 1.5)),
+                                      int(rng.integers(1, 40)))
+    queries = 1e5 + rng.uniform(-1, 1, size=(60, 3))
+    u = rng.normal(size=(60, 3))
+    cloud = np.vstack([1e5 + rng.uniform(-1, 1, size=(300, 3)),
+                       queries + 0.4 * u / np.linalg.norm(u, axis=1, keepdims=True)])
+    ball_ok &= ball_query_matches(queries, cloud, 0.4, 16)
+    results.append(CheckResult("ball-query",
+                               "21 fixtures vs every pair's direct distance", ball_ok))
     return results

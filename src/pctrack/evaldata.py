@@ -31,6 +31,8 @@ class Tracklet:
     def __post_init__(self):
         if not self.frames:
             raise ValueError(f"tracklet {self.object_id}: needs at least one frame")
+        if self.label == "average":  # the name of the evaluation's average row
+            raise ValueError(f"tracklet {self.object_id}: the label 'average' is reserved")
 
     @property
     def n_frames(self) -> int:
@@ -281,6 +283,8 @@ def evaluate(tracklets, model, seed: int = 0, threads: int = 1,
     """
     if not tracklets:
         raise ValueError("evaluate needs at least one tracklet")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
 
     def run(i):
         try:

@@ -268,19 +268,66 @@ def box_iou_3d(a: Box3D, b: Box3D) -> float:
 # GEMM output stays in cache until its consumer has read it.
 _BLOCK_BYTES = 1 << 20
 
+# Float32 unit round-off, and the largest squared row norm the float32
+# filter takes: |x| <= 2^40, far from float32 overflow.
+_U32 = 2.0 ** -24
+_NORM_LIMIT = 2.0 ** 80
+
+
+def pair_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``Σ_c (a_ic - b_ic)²`` for each row pair of two (P, d) arrays.
+
+    The one definition of a squared distance between points or features:
+    float64 differences of the inputs, squared and summed along each
+    contiguous row, so a pair's bits do not depend on which other pairs
+    share the call.
+    """
+    diff = np.subtract(a, b, dtype=np.float64)
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def float32_filter(a: np.ndarray, b: np.ndarray, r2: float = 0.0):
+    """Float32 copies of ``a`` and ``b``, the copy's row norms ``S_i = |a_i|²``
+    and the bound ``E`` of a float32 filter in front of ``pair_sq_dist``.
+
+    The copies are the inputs themselves when both are float32. Let ``g_ij``
+    be the float32 ``|b_j|² - 2·a_i·b_j`` of ``shifted_sq_dist_blocks`` on the
+    copies, ``R`` the largest ``S_i`` plus the largest ``|b_j|²`` plus ``r2``,
+    ``u = 2^-24`` and ``e_ij = pair_sq_dist(a_i, b_j)``. Then
+    ``|g_ij + S_i - e_ij| <= (4d + 7.01)·u·R``: the GEMM's (d + 1)-term dot
+    products and the norms inside it err by at most ``(3d + 2)·u·R``, ``S_i``
+    by ``d·u·R``, rounding the inputs to float32 moves ``|a - b|²`` by at most
+    ``4.01·u·R``, and float64 evaluation moves ``e_ij`` by less than ``u·R``.
+    ``E = (4d + 24)·u·R + (d + 1)·2^-100``: the ``16.99·u·R`` of additive
+    slack covers the callers' float32 bookkeeping, each rounding at most
+    ``2.01·u·R`` (``r2`` is in ``R`` for that), and keeps square roots
+    strictly ordered; the absolute term covers underflow. ``E`` is ``+inf``
+    for inputs outside the filter's range: ``|x| > 2^40`` or non-finite.
+    """
+    a32, b32 = a, b
+    if a.dtype != np.float32 or b.dtype != np.float32:
+        with np.errstate(over="ignore"):  # out-of-range values read inf
+            a32, b32 = a.astype(np.float32), b.astype(np.float32)
+    an = np.einsum("ij,ij->i", a32, a32)
+    big_a = float(an.max(initial=0.0))
+    big_b = float(np.einsum("ij,ij->i", b32, b32).max(initial=0.0))
+    e = np.inf
+    if big_a <= _NORM_LIMIT and big_b <= _NORM_LIMIT:
+        d = a.shape[1]
+        e = (4 * d + 24) * _U32 * (big_a + big_b + r2) + (d + 1) * 2.0 ** -100
+    return a32, b32, an, e
+
 
 def shifted_sq_dist_blocks(a: np.ndarray, b: np.ndarray):
     """Yield ``(lo, hi, h)`` with ``h = |b|² - 2·a[lo:hi]·bᵀ``, block by block.
 
     ``h`` is the squared distance of each row of ``a`` to every row of ``b``
-    less the row's own ``|a|²``; a caller adds that back, or moves it to the
-    other side of a comparison. Each block is one GEMM of ``[a, 1]`` against
-    the row-major ``[-2bᵀ; |b|²]``, built once per call (the inner-product
-    form that FAISS uses), so no (M, N) matrix is ever built. The arithmetic
-    runs in ``a``'s dtype, which ``b`` must share, and a block holds
-    ``_BLOCK_BYTES`` of it. The last bits depend on the block bounds and the
-    operand layout, because a GEMM rounds differently at other shapes. ``h``
-    is a reused buffer, valid only until the next block is drawn.
+    less the row's own ``|a|²``: the approximate side of ``float32_filter``.
+    Each block is one GEMM of ``[a, 1]`` against the row-major
+    ``[-2bᵀ; |b|²]``, built once per call (the inner-product form that FAISS
+    uses), so no (M, N) matrix is ever built. The arithmetic runs in ``a``'s
+    dtype, which ``b`` must share, and a block holds ``_BLOCK_BYTES`` of it.
+    ``h`` is a reused buffer, valid only until the next block is drawn.
     """
     m, d = a.shape
     n = b.shape[0]
@@ -298,47 +345,56 @@ def shifted_sq_dist_blocks(a: np.ndarray, b: np.ndarray):
         yield lo, hi, h
 
 
+def float32_at_least(x: np.ndarray) -> np.ndarray:
+    """``x`` rounded to float32 and one step up: at least ``x``, at most two
+    float32 steps above it."""
+    return np.nextafter(x.astype(np.float32), np.float32(np.inf))
+
+
 def ball_query_padded(
     queries_xyz: np.ndarray,
     cloud_xyz: np.ndarray,
     radius: float,
     max_k: int,
-    fill_idx: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized ball query returning a dense (M, min(max_k, N)) index matrix.
 
-    Rows are ascending in-radius indices, the lowest max_k when more
-    qualify; short rows are padded by repeating the row's first neighbor so
-    downstream max-pools are unaffected. Rows with no neighbors at all are
-    padded with ``fill_idx`` (per query) when given, else index 0;
-    ``counts`` records the neighborhood sizes, capped at max_k.
+    Point j is a neighbor of query i when ``pair_sq_dist(q_i, c_j) <= r²``.
+    Rows hold the lowest max_k neighbors in ascending order, padded by
+    repeating the first (index 0 in an empty row) so max-pools are
+    unaffected; ``counts`` holds the neighborhood sizes, capped at max_k.
+    By ``float32_filter``'s bound (``r²`` in ``R``), a pair within the radius
+    has ``g_ij <= r² - S_i + E``; only such pairs, that limit rounded up to
+    float32, get their exact distance, and out of range every pair does.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
-    q = np.asarray(queries_xyz, dtype=np.float64)
-    c = np.asarray(cloud_xyz, dtype=np.float64)
+    q = np.asarray(queries_xyz)
+    c = np.asarray(cloud_xyz)
     m, n = q.shape[0], c.shape[0]
     if n == 0:
         raise ValueError("cloud must be non-empty")
-    # |q - c|² <= r²  is tested as  |c|² - 2q·c <= r² - |q|².
-    limit = radius * radius - np.sum(q * q, axis=1)
-    mask = np.empty((m, n), dtype=bool)
-    for lo, hi, h in shifted_sq_dist_blocks(q, c):
-        np.less_equal(h, limit[lo:hi, None], out=mask[lo:hi])
-    # The flat hit positions walk the mask row by row, so each row's hits
-    # come out in ascending column order; a hit's rank is its offset from
-    # the row start. (flatnonzero + divmod gives what np.nonzero(mask) does,
-    # about ten times faster on a sparse 2-D mask.)
-    flat = np.flatnonzero(mask)
-    rows, cols = np.divmod(flat, n)
+    r2 = radius * radius
+    q32, c32, qn, e = float32_filter(q, c, r2)
+    if e == np.inf:  # out of range: a filter on zeros keeps every pair
+        q32, c32, qn = np.zeros_like(q32), np.zeros_like(c32), np.zeros_like(qn)
+    limit = float32_at_least(np.subtract(r2 + e, qn, dtype=np.float64))[:, None]
+    near = []
+    for lo, hi, h in shifted_sq_dist_blocks(q32, c32):
+        # Candidates come out row-major, and the exact test keeps that order.
+        flat = np.flatnonzero(h <= limit[lo:hi]) + lo * n
+        r, j = np.divmod(flat, n)
+        near.append(flat[pair_sq_dist(q.take(r, axis=0), c.take(j, axis=0)) <= r2])
+    rows, cols = np.divmod(np.concatenate(near), n)
+    # Each row's hits are in ascending column order; a hit's rank is its
+    # offset from the row start.
     hits = np.bincount(rows, minlength=m)
     starts = np.cumsum(hits) - hits
     rank = np.arange(rows.shape[0]) - starts[rows]
     keep = rank < max_k
-    first = np.zeros(m, dtype=np.int64) if fill_idx is None else \
-        np.array(fill_idx, dtype=np.int64)
+    first = np.zeros(m, dtype=np.int64)
     found = hits > 0
     first[found] = cols[starts[found]]
     idx = np.repeat(first[:, None], min(max_k, n), axis=1)

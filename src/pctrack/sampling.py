@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _BLOCK_BYTES, shifted_sq_dist_blocks
+from .geometry import _BLOCK_BYTES, float32_filter, pair_sq_dist, shifted_sq_dist_blocks
 
 
 @dataclass(frozen=True)
@@ -124,23 +124,6 @@ def sample_ffps(features: np.ndarray, k: int, start_index: int = 0) -> SampleSel
     return _greedy_farthest(np.asarray(features, dtype=np.float64), k, start_index, "ffps")
 
 
-# Float32 unit round-off, and the largest squared row norm the float32 filter
-# of ``ras_scores`` takes: |x| <= 2^40, far from float32 overflow.
-_U32 = 2.0 ** -24
-_NORM_LIMIT = 2.0 ** 80
-
-
-def pair_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``Σ_c (a_ic - b_ic)²`` for each row pair of two (P, d) arrays.
-
-    The one definition of a relation score's square: float64 differences of
-    the inputs, squared and summed along each contiguous row, so a pair's
-    bits do not depend on which other pairs share the call.
-    """
-    diff = np.subtract(a, b, dtype=np.float64)
-    return np.einsum("ij,ij->i", diff, diff)
-
-
 def _exhaustive_scores(s: np.ndarray, t: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Scores of ``rows`` against every template row, a few rows at a time."""
     n = t.shape[0]
@@ -161,24 +144,9 @@ def ras_scores(search_feats: np.ndarray, template_feats: np.ndarray,
     that can be among the k smallest (lowest index first on ties) gets its
     exact score; every other row reads ``+inf``. ``k=None`` scores all rows.
 
-    A float32 filter finds those rows and pairs. Let ``g_ij`` be the float32
-    GEMM value of ``|t_j|² - 2·s_i·t_j`` (``shifted_sq_dist_blocks`` on
-    float32 copies of the inputs), ``S_i = |s_i|²`` the float32 row norm of a
-    copy, ``R`` the largest ``S_i`` plus the largest template row norm,
-    ``u = 2^-24``, and ``e_ij`` the exact squared score. Then
-
-        |g_ij + S_i - e_ij| <= (4d + 7.01)·u·R,
-
-    because the GEMM's (d + 1)-term dot products and the norms inside it err
-    by at most ``(3d + 2)·u·R``, ``S_i`` by ``d·u·R``, rounding the inputs to
-    float32 moves ``|s - t|²`` by at most ``4.01·u·R``, and float64
-    evaluation moves ``e_ij`` by less than ``u·R``. The filter works with
-
-        E = (4d + 24)·u·R + (d + 1)·2^-100.
-
-    Its ``16.99·u·R`` over the bound is additive slack: it covers the float32
-    bookkeeping below, each of whose roundings is at most ``2.01·u·R``, and
-    keeps square roots strictly ordered. The absolute term covers underflow.
+    A float32 filter finds those rows and pairs. With ``g_ij``, ``S_i``,
+    ``u``, ``R`` and ``E`` of ``float32_filter(s, t)``, ``g_ij + S_i`` lies
+    within ``E`` of the pair's exact squared score.
 
     With ``a_i = min_j g_ij + S_i``, each row's exact minimum lies within
     ``a_i ± E``, so ``τ``, the k-th smallest ``a_i + E``, bounds the k-th
@@ -200,29 +168,21 @@ def ras_scores(search_feats: np.ndarray, template_feats: np.ndarray,
         raise ValueError("template feature set is empty")
     if s.shape[1] != t.shape[1]:
         raise ValueError(f"feature widths differ: {s.shape[1]} vs {t.shape[1]}")
-    m, d = s.shape
+    m = s.shape[0]
     if m == 0:
         return np.empty(0)
     n = t.shape[0]
     k = m if k is None else min(max(k, 1), m)
-    s32, t32 = s, t
-    if s.dtype != np.float32 or t.dtype != np.float32:
-        with np.errstate(over="ignore"):  # out-of-range values read inf
-            s32, t32 = s.astype(np.float32), t.astype(np.float32)
-    sn = np.einsum("ij,ij->i", s32, s32)
-    big_s = float(sn.max())
-    big_t = float(np.einsum("ij,ij->i", t32, t32).max())
+    s32, t32, sn, e = float32_filter(s, t)
     v = np.full(m, np.inf)
-    if not (big_s <= _NORM_LIMIT and big_t <= _NORM_LIMIT):
+    if e == np.inf:
         finite = np.isfinite(s).all(axis=1)
-        if big_t <= _NORM_LIMIT and not (sn[finite] > _NORM_LIMIT).any():
+        rest = np.arange(m)
+        if not finite.all() and float32_filter(s[finite], t)[3] < np.inf:
             v[finite] = ras_scores(s[finite], t, k)
-            rest = np.flatnonzero(~finite) if k > finite.sum() else np.empty(0, np.int64)
-        else:
-            rest = np.arange(m)
+            rest = rest[~finite] if k > finite.sum() else rest[:0]
         v[rest] = _exhaustive_scores(s, t, rest)
         return v
-    e = (4 * d + 24) * _U32 * (big_s + big_t) + (d + 1) * 2.0 ** -100
     order = None
     if k < m and m * n * s32.itemsize > _BLOCK_BYTES:
         gap = np.maximum(s32, t32.min(axis=0))

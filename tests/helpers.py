@@ -8,10 +8,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from pctrack.checks import greedy_fps_oracle, mc_box_iou, ras_sort_oracle  # noqa: F401
-from pctrack.geometry import _BLOCK_BYTES, Box3D, ball_query_padded, to_box_frame
+from pctrack.checks import (  # noqa: F401
+    ball_query_matches,
+    brute_ball_query,
+    greedy_fps_oracle,
+    mc_box_iou,
+    ras_sort_oracle,
+)
+from pctrack.geometry import Box3D, ball_query_padded, pair_sq_dist, to_box_frame
 from pctrack.numeric import relu_backward, relu_forward
-from pctrack.sampling import pair_sq_dist
 
 
 def random_box(rng: np.random.Generator, center_span: float = 3.0) -> Box3D:
@@ -25,15 +30,6 @@ def reference_points_in_box(cloud, box: Box3D) -> np.ndarray:
     """Rotate-everything membership: every row through ``to_box_frame``, then
     ``|local| <= size / 2`` on all three axes."""
     return (np.abs(to_box_frame(cloud, box)) <= box.size / 2.0).all(axis=1)
-
-
-def brute_ball_query(queries: np.ndarray, cloud: np.ndarray, radius: float, max_k: int):
-    """O(QN) reference for fixed-radius neighbor search."""
-    out = []
-    for q in np.atleast_2d(queries):
-        hits = [i for i, p in enumerate(np.atleast_2d(cloud)) if np.linalg.norm(q - p) <= radius]
-        out.append(np.asarray(hits[:max_k], dtype=np.int64))
-    return out
 
 
 def foreground_fixture(rng: np.random.Generator, n_search: int = 160, fg_frac: float = 0.2):
@@ -67,8 +63,7 @@ def reference_sa_forward(sa, coords, feats, selection, training=False):
     """
     sel = selection.indices
     centroids = coords[sel]
-    idx, _ = ball_query_padded(centroids, coords, sa.radius, sa.max_neighbors,
-                               fill_idx=sel)
+    idx, _ = ball_query_padded(centroids, coords, sa.radius, sa.max_neighbors)
     m, k = idx.shape
     rel = (coords[idx] - centroids[:, None, :]).astype(feats.dtype)
     w_feat = sa.linear.weight.value[:, : sa.in_ch]
@@ -126,31 +121,6 @@ def reference_local_pool_backward(d_pooled, cache):
     return d_feats
 
 
-# Distance stages written out plainly. The shifted squared distances follow
-# the product's GEMM, row block for row block, and the product must
-# reproduce them bit for bit. The relation scores are the direct-difference
-# definition, every pair scored with the product's one summation expression
-# (``pair_sq_dist``). The ball query reference is the full-matrix one from
-# before the row-blocked kernel; on the fixtures of its tests the blocked
-# kernel picks exactly the same neighbors.
-
-
-def reference_sq_dist(a, b):
-    """``|b|² - 2·a·bᵀ``: one GEMM of ``[a, 1]`` against ``[-2bᵀ; |b|²]`` per
-    row block of ``geometry._BLOCK_BYTES``, with the right operand stored
-    row-major (a GEMM on its transpose rounds the edge columns differently)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    m, n = a.shape[0], b.shape[0]
-    rows = min(m, max(1, _BLOCK_BYTES // (8 * max(n, 1))))
-    right = np.ascontiguousarray(np.vstack([-2.0 * b.T, np.sum(b * b, axis=1)]))
-    out = np.empty((m, n))
-    for lo in range(0, m, rows):
-        block = a[lo:lo + rows]
-        out[lo:lo + rows] = np.hstack([block, np.ones((block.shape[0], 1))]) @ right
-    return out
-
-
 def reference_ras_scores(search_feats, template_feats):
     """sqrt(min_j pair_sq_dist(s_i, t_j)), every pair scored: NaN for a row
     with a NaN, +inf for a row with an infinity."""
@@ -163,39 +133,6 @@ def reference_ras_scores(search_feats, template_feats):
         pairs = pair_sq_dist(np.repeat(rows, n, axis=0), np.tile(t, (rows.shape[0], 1)))
         d2[lo:lo + 64] = pairs.reshape(rows.shape[0], n).min(axis=1)
     return np.sqrt(d2)
-
-
-def full_matrix_sq_dist(a, b):
-    """The squared distances of the old kernel: one (M, N) GEMM, then the
-    norms expansion ``|a|² + |b|² - 2·a·bᵀ``."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
-
-
-def reference_ball_query_padded(queries_xyz, cloud_xyz, radius, max_k, fill_idx=None):
-    q = np.asarray(queries_xyz, dtype=np.float64)
-    c = np.asarray(cloud_xyz, dtype=np.float64)
-    n = c.shape[0]
-    d2 = (np.sum(q * q, axis=1)[:, None] + np.sum(c * c, axis=1)[None, :]
-          - 2.0 * (q @ c.T))
-    mask = d2 <= radius * radius
-    counts = np.minimum(mask.sum(axis=1), max_k)
-    keyed = np.where(mask, np.arange(n, dtype=np.int64)[None, :], n)
-    if max_k < n:
-        idx = np.sort(np.partition(keyed, max_k - 1, axis=1)[:, :max_k], axis=1)
-    else:
-        idx = np.sort(keyed, axis=1)[:, :max_k]
-    invalid = idx >= n
-    first = idx[:, 0].copy()
-    empty = first >= n
-    if empty.any():
-        if fill_idx is not None:
-            first[empty] = np.asarray(fill_idx, dtype=np.int64)[empty]
-        else:
-            first[empty] = 0
-    idx = np.where(invalid, first[:, None], idx)
-    return idx, counts
 
 
 def reference_greedy_farthest(points, k, start_index=0):

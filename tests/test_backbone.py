@@ -6,7 +6,7 @@ from pctrack.checks import tiny_config
 from pctrack.config import RunConfig, apply_ablation, config_for_profile
 from pctrack.geometry import ball_query_padded
 from pctrack.numeric import grad_check
-from pctrack.sampling import SampleSelection, sample_dfps
+from pctrack.sampling import SampleSelection, sample_dfps, sample_random
 
 from helpers import reference_sa_backward, reference_sa_forward
 
@@ -35,6 +35,18 @@ def test_sa_single_point_self_neighborhood():
     lin = sa.linear
     by_hand = np.concatenate([feats[0], np.zeros(3)]) @ lin.weight.value.T + lin.bias.value
     np.testing.assert_allclose(pooled[0], np.maximum(by_hand, 0.0), atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("offset", [0.0, 1e7])
+def test_every_sa_row_has_a_neighbor(offset, dtype):
+    """A centroid's exact distance to itself is 0, so no SA row is empty, not
+    even with a tiny radius, padded duplicate centroids or a far origin."""
+    rng = np.random.default_rng(31)
+    coords = (offset + rng.normal(scale=3.0, size=(40, 3))).astype(dtype)
+    for sel in (sample_dfps(coords, 64), sample_random(40, 64, rng)):
+        assert sel.padded
+        assert (ball_query_padded(coords[sel.indices], coords, 1e-3, 8)[1] >= 1).all()
 
 
 def test_sa_output_row_count_matches_selection():

@@ -157,6 +157,29 @@ def test_eval_oracle_prints_perfect_scores(small_dataset, tmp_path, capsys):
     assert float(rows[-1]["success"]) == pytest.approx(100.0)
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_eval_threads_below_one_is_validation_error(threads, small_dataset, tmp_path, capsys):
+    rc = main(["eval", "--data", str(small_dataset), "--oracle", "--threads", threads])
+    assert rc == 1
+    assert "threads must be >= 1" in capsys.readouterr().err
+
+
+def test_label_average_is_reserved(small_dataset, tmp_path, capsys):
+    """A class named like the average row would be written twice to eval.csv."""
+    assert main(["synth", "--out", str(tmp_path / "s"), "--tracklets", "1",
+                 "--frames", "3", "--label", "average"]) == 1
+    assert "'average' is reserved" in capsys.readouterr().err
+    import shutil
+
+    data = tmp_path / "ds"
+    shutil.copytree(small_dataset, data)
+    meta_path = data / "tracklet_000" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta_path.write_text(json.dumps({**meta, "label": "average"}))
+    assert main(["eval", "--data", str(data), "--oracle"]) == 1
+    assert "'average' is reserved" in capsys.readouterr().err
+
+
 def test_truncated_cloud_is_validation_error(small_dataset, tmp_path, capsys):
     import shutil
 
@@ -194,7 +217,8 @@ def test_unexpected_exception_is_runtime_failure(small_dataset, tmp_path, monkey
     assert rc == 2
 
 
-def test_build_dataset_command(tmp_path):
+def _write_scenes(tmp_path, label):
+    """Four scans of one annotated object; returns the scene index path."""
     from pctrack.evaldata import _write_cloud_bin
 
     rng = np.random.default_rng(0)
@@ -204,14 +228,25 @@ def test_build_dataset_command(tmp_path):
         obj = center + rng.uniform(-0.4, 0.4, size=(25, 3))
         _write_cloud_bin(tmp_path / f"scan{i}.bin", obj)
         records.append({"cloud": f"scan{i}.bin",
-                        "annotations": [{"object_id": "a", "label": "car",
+                        "annotations": [{"object_id": "a", "label": label,
                                          "box": [*center, 1.0, 1.0, 1.0, 0.0]}]})
     index = tmp_path / "scenes.jsonl"
     index.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    return index
+
+
+def test_build_dataset_command(tmp_path):
     out = tmp_path / "built"
-    assert main(["build-dataset", "--scenes", str(index), "--out", str(out)]) == 0
+    assert main(["build-dataset", "--scenes", str(_write_scenes(tmp_path, "car")),
+                 "--out", str(out)]) == 0
     ds = load_dataset(out)
     assert len(ds) == 1 and ds[0].n_frames == 4
+
+
+def test_build_dataset_rejects_reserved_label(tmp_path, capsys):
+    assert main(["build-dataset", "--scenes", str(_write_scenes(tmp_path, "average")),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "'average' is reserved" in capsys.readouterr().err
 
 
 def test_build_dataset_rejects_when_everything_filtered(tmp_path):

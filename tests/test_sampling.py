@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from pctrack.geometry import pair_sq_dist
 from pctrack.sampling import (
     SampleSelection,
     dfps_prefix,
-    pair_sq_dist,
     ras_scores,
     sample_dfps,
     sample_ffps,
@@ -16,7 +16,6 @@ from pctrack.sampling import (
 )
 from helpers import (
     foreground_fixture,
-    full_matrix_sq_dist,
     greedy_fps_oracle,
     ras_sort_oracle,
     reference_greedy_farthest,
@@ -219,9 +218,6 @@ def test_ras_scores_match_full_matrix_reference_across_blocks():
     np.testing.assert_array_equal(v, reference_ras_scores(search, template))
     np.testing.assert_array_equal(v[::7], v[1::7])
     assert (v[::7] == 0.0).all()
-    # The old full-matrix scores agree to round-off in the squared distance.
-    old = np.maximum(full_matrix_sq_dist(search, template), 0.0).min(axis=1)
-    np.testing.assert_allclose(v * v, old, rtol=1e-12, atol=1e-12)
 
 
 def test_ras_order_matches_direct_difference_oracle_at_level1_size():
