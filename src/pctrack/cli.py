@@ -20,6 +20,7 @@ from .checks import gradient_suite, oracle_suite
 from .config import (
     ABLATIONS,
     PROFILES,
+    TRACKING_FIELDS,
     RunConfig,
     apply_ablation,
     apply_overrides,
@@ -42,27 +43,32 @@ from .model import TrackerModel
 from .pipeline import LOSS_KEYS, OracleModel, train
 
 # ---------------------------------------------------------------------------
-# Config resolution shared by train/track/eval/bench
+# Config resolution: train and bench build a network from flags; track and
+# eval take the checkpoint's config and may change only the tracking fields.
 # ---------------------------------------------------------------------------
 
 
-def _resolve_config(args, default_profile: str = "desk") -> RunConfig:
-    profile = getattr(args, "profile", None) or default_profile
-    cfg = config_for_profile(profile)
-    config_path = getattr(args, "config", None)
-    if config_path is None:
-        ckpt = getattr(args, "ckpt", None)
-        if ckpt is not None:
-            sibling = Path(ckpt).parent / "config.cfg"
-            if sibling.exists():
-                config_path = sibling
-                print(f"using config {sibling}")
-    if config_path is not None:
-        cfg = apply_overrides(cfg, read_overrides(config_path))
-    if getattr(args, "ablation", None):
+def _resolve_config(args) -> RunConfig:
+    cfg = config_for_profile(args.profile or "desk")
+    if args.config is not None:
+        cfg = apply_overrides(cfg, read_overrides(args.config))
+    if args.ablation:
         cfg = apply_ablation(cfg, args.ablation)
-    cfg = apply_overrides(cfg, getattr(args, "set", None) or [])
-    if getattr(args, "seed", None) is not None:
+    return _apply_override_flags(cfg, args)
+
+
+def _tracking_config(args, base: RunConfig) -> RunConfig:
+    for item in args.set or []:
+        key = item.split("=", 1)[0].strip()
+        if key not in TRACKING_FIELDS:
+            raise ValueError(f"--set {key}: {args.subcommand} may change only "
+                             f"{', '.join(TRACKING_FIELDS)}")
+    return _apply_override_flags(base, args)
+
+
+def _apply_override_flags(cfg: RunConfig, args) -> RunConfig:
+    cfg = apply_overrides(cfg, args.set or [])
+    if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if getattr(args, "epochs", None) is not None:
         cfg = dataclasses.replace(cfg, epochs=args.epochs)
@@ -160,20 +166,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(cfg: RunConfig, ckpt) -> TrackerModel:
-    model = build_model(cfg)
-    model.load(ckpt)
-    return model
-
-
 def cmd_track(args) -> int:
-    cfg = _resolve_config(args)
+    model = TrackerModel.from_checkpoint(args.ckpt)
+    cfg = _tracking_config(args, model.cfg)
     tracklets = load_dataset(args.data)
     if not 0 <= args.index < len(tracklets):
         raise ValueError(f"tracklet index {args.index} out of range "
                          f"(dataset has {len(tracklets)})")
     tracklet = tracklets[args.index]
-    model = _load_model(cfg, args.ckpt)
     boxes, reasons, ious, _ = track_tracklet(
         tracklet, model, np.random.default_rng(cfg.seed),
         cfg.template_extend_ratio, cfg.search_margin_m)
@@ -195,14 +195,14 @@ def cmd_track(args) -> int:
 def cmd_eval(args) -> int:
     if (args.ckpt is None) == (not args.oracle):
         raise ValueError("eval needs exactly one of --ckpt or --oracle")
-    cfg = _resolve_config(args)
-    tracklets = load_dataset(args.data)
     model = builder = None
     if args.oracle:
         def builder(i, tr):
             return OracleModel([box for _, box in tr.frames])
     else:
-        model = _load_model(cfg, args.ckpt)
+        model = TrackerModel.from_checkpoint(args.ckpt)
+    cfg = _tracking_config(args, RunConfig() if model is None else model.cfg)
+    tracklets = load_dataset(args.data)
     report = evaluate(tracklets, model, seed=cfg.seed, threads=args.threads,
                       model_builder=builder, extend_ratio=cfg.template_extend_ratio,
                       margin_m=cfg.search_margin_m)
@@ -300,11 +300,15 @@ def _add_config_flags(p, with_epochs=False):
                    help="named base configuration (default: desk)")
     p.add_argument("--ablation", choices=sorted(ABLATIONS),
                    help="apply one standard ablation delta")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                   help="override one config entry (repeatable)")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    _add_override_flags(p, "one config entry")
     if with_epochs:
         p.add_argument("--epochs", type=int, help="override the epoch count")
+
+
+def _add_override_flags(p, what):
+    p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                   help=f"override {what} (repeatable)")
+    p.add_argument("--seed", type=int, help="override the config seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--index", type=int, default=0)
-    _add_config_flags(p)
+    _add_override_flags(p, f"one of {', '.join(TRACKING_FIELDS)}")
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint (or the oracle) on a dataset")
@@ -359,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="closed-loop sanity: feed ground truth back as predictions")
     p.add_argument("--out", help="write eval.json and eval.csv here")
     p.add_argument("--threads", type=int, default=1)
-    _add_config_flags(p)
+    _add_override_flags(p, f"one of {', '.join(TRACKING_FIELDS)}")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("check", help="run gradient and oracle self-checks")

@@ -85,15 +85,20 @@ class RunConfig:
             raise ValueError("lr must be positive")
         if self.lr_divisor <= 0:
             raise ValueError("lr_divisor must be positive")
-        for name in ("template_extend_ratio", "search_margin_m", "distort_range_m"):
+        for name in ("template_extend_ratio", "search_margin_m", "distort_range_m", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        if self.lr_step_epochs < 0:
+            raise ValueError("lr_step_epochs must be >= 0 (0 keeps the rate constant)")
         if self.search_sampler == "hybrid" and any(k % 2 for k in self.sa_search_points):
             raise ValueError("hybrid sampling needs even search point counts")
         return self
 
+
+# The fields tracking reads: all that track and eval may change on a trained model.
+TRACKING_FIELDS = ("seed", "template_extend_ratio", "search_margin_m")
 
 # Named profiles: desk is the default record itself; the rest are overrides.
 PROFILES: dict[str, dict] = {
@@ -195,7 +200,8 @@ def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
     return dataclasses.replace(cfg, **updates).validate()
 
 
-def save_config(cfg: RunConfig, path):
+def config_lines(cfg: RunConfig) -> list[str]:
+    """One ``key=value`` line per field, as config files and checkpoints hold them."""
     lines = []
     for f in fields(RunConfig):
         v = getattr(cfg, f.name)
@@ -206,8 +212,12 @@ def save_config(cfg: RunConfig, path):
         else:
             text = str(v)
         lines.append(f"{f.name}={text}")
+    return lines
+
+
+def save_config(cfg: RunConfig, path):
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(config_lines(cfg)) + "\n")
 
 
 def read_overrides(path) -> list[str]:

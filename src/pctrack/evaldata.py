@@ -310,8 +310,9 @@ def evaluate(tracklets, model, seed: int = 0, threads: int = 1,
     labels = [label for label in sorted(by_class)
               if any(res[2] for res in by_class[label])]
     if not labels:
-        raise ValueError("no tracklet evaluated successfully: "
-                         + "; ".join(f["error"] for f in failures))
+        reasons = ("; ".join(f["error"] for f in failures) if failures
+                   else "no tracklet has a frame after its first")
+        raise ValueError(f"no tracklet evaluated successfully: {reasons}")
     return EvalReport(
         per_class={label: _summary(by_class[label]) for label in labels},
         average=_summary([res for label in labels for res in by_class[label]]),

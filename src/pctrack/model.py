@@ -45,8 +45,7 @@ class ModelPlan:
 class ModelOutput:
     coarse: Prediction
     refined: Prediction | None
-    seeds: np.ndarray            # search-branch output coordinates (N_s, 3)
-    template_coords: np.ndarray  # template-branch output coordinates (N_t, 3)
+    seeds: np.ndarray  # search-branch output coordinates (N_s, 3)
     plan: ModelPlan
 
     @property
@@ -58,12 +57,12 @@ class ModelOutput:
 class TrackerModel:
     """Owns all parameters and wires the stages together.
 
-    Built from the model fields of a run config; ``cfg.seed`` seeds the
-    parameter initialization.
+    Built from the model fields of a run config, kept as ``cfg`` and saved
+    with the weights; ``cfg.seed`` seeds the parameter initialization.
     """
 
     def __init__(self, cfg: RunConfig, dtype=np.float32):
-        cfg.validate()
+        self.cfg = cfg.validate()
         self.dtype = dtype
         self.use_prm = cfg.use_prm          # off → coarse stage only
         self.pool_radius = cfg.pool_radius
@@ -114,10 +113,19 @@ class TrackerModel:
             target[...] = incoming[name]
 
     def save(self, path):
-        save_checkpoint(path, self.state_dict())
+        from .config import config_lines  # config imports this module
 
-    def load(self, path):
-        self.load_state_dict(load_checkpoint(path))
+        save_checkpoint(path, self.state_dict(), config_lines(self.cfg))
+
+    @classmethod
+    def from_checkpoint(cls, path) -> TrackerModel:
+        """The network a checkpoint's config builds, holding its weights."""
+        from .config import RunConfig, apply_overrides  # config imports this module
+
+        arrays, lines = load_checkpoint(path)
+        model = cls(apply_overrides(RunConfig(), lines))
+        model.load_state_dict(arrays)
+        return model
 
     # -------------------------------------------------------------- forward
 
@@ -153,8 +161,7 @@ class TrackerModel:
             refined, c_refine = self.heads.refine_forward(f_s, f_t, mapped, training)
             c_prm = (cs, coarse.reg[i_star].copy(), i_star)
 
-        output = ModelOutput(coarse=coarse, refined=refined, seeds=cs,
-                             template_coords=ct, plan=plan)
+        output = ModelOutput(coarse=coarse, refined=refined, seeds=cs, plan=plan)
         cache = (c_backbone, c_match, c_coarse, c_refine, c_pool_s, c_pool_t,
                  c_prm)
         return output, cache

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 CHECKPOINT_MAGIC = b"PCTK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class Param:
@@ -456,10 +456,11 @@ def grad_check(fn: Callable[[], float], params: Sequence[Param],
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(path, arrays: dict[str, np.ndarray]):
-    """Write named arrays as: magic, version, JSON manifest, float32 LE payload, CRC32."""
-    manifest = [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()]
-    blob = json.dumps(manifest, sort_keys=False).encode("utf-8")
+def save_checkpoint(path, arrays: dict[str, np.ndarray], config: list[str]):
+    """Write named arrays and the run config's ``key=value`` lines as: magic,
+    version, JSON manifest, float32 LE payload, CRC32."""
+    entries = [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()]
+    blob = json.dumps({"config": config, "arrays": entries}).encode("utf-8")
     body = bytearray()
     body += CHECKPOINT_MAGIC
     body += struct.pack("<I", CHECKPOINT_VERSION)
@@ -472,7 +473,7 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]):
         f.write(bytes(body))
 
 
-def load_checkpoint(path) -> dict[str, np.ndarray]:
+def load_checkpoint(path) -> tuple[dict[str, np.ndarray], list[str]]:
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
@@ -487,7 +488,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     manifest = json.loads(raw[12:12 + blob_len].decode("utf-8"))
     out: dict[str, np.ndarray] = {}
     offset = 12 + blob_len
-    for entry in manifest:
+    for entry in manifest["arrays"]:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
@@ -495,4 +496,4 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         offset += 4 * count
     if offset != len(raw) - 4:
         raise ValueError(f"{path}: payload length does not match manifest")
-    return out
+    return out, manifest["config"]

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ def test_train_track_eval_round(small_dataset, tmp_path, capsys):
         rows = list(csv.DictReader(f))
     assert len(rows) == 2 and rows[1]["epoch"] == "1"
 
-    # track picks up config.cfg sitting next to the checkpoint
+    # track builds the network the checkpoint records
     tr_out = tmp_path / "tracked"
     rc = main(["track", "--data", str(small_dataset), "--ckpt",
                str(run / "model.ckpt"), "--out", str(tr_out), "--index", "1"])
@@ -129,16 +130,52 @@ def test_non_finite_checkpoint_is_validation_error(small_dataset, tmp_path, caps
     run = tmp_path / "run"
     main(["train", "--data", str(small_dataset), "--out", str(run),
           "--profile", "tiny", "--epochs", "0"])
-    state = load_checkpoint(run / "model.ckpt")
+    state, config = load_checkpoint(run / "model.ckpt")
     name = next(iter(state))
     state[name].reshape(-1)[0] = np.nan
-    save_checkpoint(run / "model.ckpt", state)
+    save_checkpoint(run / "model.ckpt", state, config)
     capsys.readouterr()
     rc = main([command, "--data", str(small_dataset), "--ckpt",
                str(run / "model.ckpt"), "--out", str(tmp_path / "out")])
     assert rc == 1
     err = capsys.readouterr().err
     assert name in err and "non-finite" in err
+
+
+@pytest.fixture(scope="module")
+def no_offset_run(small_dataset, tmp_path_factory):
+    run = tmp_path_factory.mktemp("no-offset") / "run"
+    assert main(["train", "--data", str(small_dataset), "--out", str(run),
+                 "--profile", "tiny", "--epochs", "2", "--ablation", "no-offset"]) == 0
+    return run
+
+
+def test_checkpoint_alone_evaluates_as_in_place(small_dataset, no_offset_run, tmp_path,
+                                                capsys):
+    """The checkpoint is the whole record: moved away from train's
+    config.cfg, it gives the same eval.csv bytes."""
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    shutil.copy(no_offset_run / "model.ckpt", alone / "model.ckpt")
+    for ckpt, out in [(no_offset_run, "in-place"), (alone, "alone")]:
+        assert main(["eval", "--data", str(small_dataset), "--ckpt",
+                     str(ckpt / "model.ckpt"), "--out", str(tmp_path / out)]) == 0
+    assert _filecmp(tmp_path / "in-place" / "eval.csv", tmp_path / "alone" / "eval.csv")
+
+
+@pytest.mark.parametrize("command", ["track", "eval"])
+@pytest.mark.parametrize("flags,named", [
+    (["--set", "use_offset=true"], "use_offset"),
+    (["--set", "lr=0.1"], "lr"),
+    (["--profile", "tiny"], "--profile"),
+])
+def test_tracking_commands_change_only_tracking_fields(command, flags, named,
+                                                       small_dataset, no_offset_run,
+                                                       tmp_path, capsys):
+    rc = main([command, "--data", str(small_dataset), "--ckpt",
+               str(no_offset_run / "model.ckpt"), "--out", str(tmp_path / "out"), *flags])
+    assert rc == 1
+    assert named in capsys.readouterr().err
 
 
 def test_eval_needs_model_xor_oracle(small_dataset, tmp_path):
@@ -169,8 +206,6 @@ def test_label_average_is_reserved(small_dataset, tmp_path, capsys):
     assert main(["synth", "--out", str(tmp_path / "s"), "--tracklets", "1",
                  "--frames", "3", "--label", "average"]) == 1
     assert "'average' is reserved" in capsys.readouterr().err
-    import shutil
-
     data = tmp_path / "ds"
     shutil.copytree(small_dataset, data)
     meta_path = data / "tracklet_000" / "meta.json"
@@ -181,8 +216,6 @@ def test_label_average_is_reserved(small_dataset, tmp_path, capsys):
 
 
 def test_truncated_cloud_is_validation_error(small_dataset, tmp_path, capsys):
-    import shutil
-
     data = tmp_path / "ds"
     shutil.copytree(small_dataset, data)
     (data / "tracklet_000" / "frame_0001.bin").write_bytes(b"\x01\x00")
@@ -297,7 +330,7 @@ def test_counts_below_one_are_validation_errors(override, capsys):
     "lam=nan", "lr=inf", "distort_range_m=nan", "lr_divisor=0", "lr_divisor=-1",
     "coarse_hidden=0", "refine_hidden=0,0", "sa_channels=16,0", "sa_radii=nan,0.8",
     "sa_radii=inf,0.8", "pool_radius=nan", "template_extend_ratio=-0.5",
-    "search_margin_m=-3", "distort_range_m=-0.3",
+    "search_margin_m=-3", "distort_range_m=-0.3", "seed=-1", "lr_step_epochs=-5",
 ])
 def test_out_of_range_numbers_are_validation_errors(override, small_dataset,
                                                                  tmp_path, capsys):

@@ -283,6 +283,13 @@ def test_all_failures_raise():
         evaluate([], StayPutModel(), seed=0)
 
 
+def test_one_frame_tracklets_say_why_nothing_was_scored():
+    one_frame = synth_tracklet(SynthSpec(n_frames=1, points_on_object=30, n_clutter=20),
+                               seed=0)
+    with pytest.raises(ValueError, match="no tracklet has a frame after its first"):
+        evaluate([one_frame], StayPutModel(), seed=0)
+
+
 def test_threaded_evaluation_matches_serial():
     tracklets = [_static_tracklet("car", s, f"c{s}") for s in range(4)]
     tracklets[1:1] = [_broken_tracklet()]

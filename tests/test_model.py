@@ -7,7 +7,7 @@ import pctrack.backbone
 from pctrack.checks import tiny_config
 from pctrack.config import RunConfig, apply_ablation, build_model, config_for_profile
 from pctrack.model import ModelOutput, TrackerModel
-from pctrack.numeric import save_checkpoint
+from pctrack.numeric import load_checkpoint, save_checkpoint
 
 
 def tiny_clouds(seed=0, n_t=8, n_s=10):
@@ -32,7 +32,6 @@ def test_model_output_shapes():
     assert out.refined.cls_logits.shape == (6, 1)
     assert out.refined.reg.shape == (6, 4)
     assert out.seeds.shape == (6, 3)
-    assert out.template_coords.shape == (4, 3)
 
 
 def test_model_final_prefers_refined():
@@ -119,10 +118,24 @@ def test_model_checkpoint_roundtrip(tmp_path):
     a = TrackerModel(tiny_config(seed=6))
     path = tmp_path / "model.ckpt"
     a.save(path)
-    b = TrackerModel(tiny_config(seed=777))
-    b.load(path)
+    b = TrackerModel.from_checkpoint(path)
     out_a, _ = run_forward(a)
     out_b, _ = run_forward(b, plan=out_a.plan)
+    np.testing.assert_array_equal(out_a.final.cls_logits, out_b.final.cls_logits)
+    np.testing.assert_array_equal(out_a.final.reg, out_b.final.reg)
+
+
+def test_checkpoint_carries_its_config(tmp_path):
+    """A no-offset checkpoint rebuilds the no-offset network, with no
+    config file beside it."""
+    cfg = apply_ablation(config_for_profile("tiny"), "no-offset")
+    a = build_model(cfg)
+    path = tmp_path / "model.ckpt"
+    a.save(path)
+    b = TrackerModel.from_checkpoint(path)
+    assert b.cfg == cfg and b.cfg.use_offset is False
+    out_a, _ = run_forward(a)
+    out_b, _ = run_forward(b)
     np.testing.assert_array_equal(out_a.final.cls_logits, out_b.final.cls_logits)
     np.testing.assert_array_equal(out_a.final.reg, out_b.final.reg)
 
@@ -133,7 +146,7 @@ def test_model_checkpoint_rejects_other_architecture(tmp_path):
     a.save(path)
     b = TrackerModel(tiny_config(seed=7, use_prt=False))  # no attention params
     with pytest.raises(ValueError, match="mismatch"):
-        b.load(path)
+        b.load_state_dict(load_checkpoint(path)[0])
 
 
 def test_model_checkpoint_rejects_buffer_of_wrong_shape(tmp_path):
@@ -143,10 +156,10 @@ def test_model_checkpoint_rejects_buffer_of_wrong_shape(tmp_path):
     state = {name: value.copy() for name, value in model.state_dict().items()}
     state["backbone.embed.0.bn.running_mean"] = np.ones(1, dtype=np.float32)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, state)
+    save_checkpoint(path, state, [])
     before = {name: value.copy() for name, value in model.state_dict().items()}
     with pytest.raises(ValueError, match="running_mean"):
-        model.load(path)
+        model.load_state_dict(load_checkpoint(path)[0])
     for name, value in model.state_dict().items():
         np.testing.assert_array_equal(value, before[name])
 
@@ -162,10 +175,10 @@ def test_model_checkpoint_rejects_non_finite_values(tmp_path, entry, bad):
     state = {name: value.copy() for name, value in model.state_dict().items()}
     state[entry].reshape(-1)[0] = bad
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, state)
+    save_checkpoint(path, state, [])
     before = {name: value.copy() for name, value in model.state_dict().items()}
     with pytest.raises(ValueError, match=entry.replace(".", r"\.")):
-        model.load(path)
+        model.load_state_dict(load_checkpoint(path)[0])
     for name, value in model.state_dict().items():
         np.testing.assert_array_equal(value, before[name])
 
@@ -215,7 +228,7 @@ def model_fingerprint(cfg):
     rng = np.random.default_rng(12)
     out, _ = model.forward(rng.normal(scale=0.6, size=(12, 3)),
                            rng.normal(scale=0.6, size=(16, 3)), rng)
-    arrays = [out.coarse.cls_logits, out.coarse.reg, out.seeds, out.template_coords]
+    arrays = [out.coarse.cls_logits, out.coarse.reg, out.seeds]
     if out.refined is not None:
         arrays += [out.refined.cls_logits, out.refined.reg]
     return state, [(a.shape, a.tobytes()) for a in arrays]

@@ -1,4 +1,6 @@
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -565,16 +567,29 @@ def test_checkpoint_roundtrip(tmp_path):
         "scalar_step": np.float32(7.0).reshape(()),
     }
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, arrays)
-    loaded = load_checkpoint(path)
+    save_checkpoint(path, arrays, ["embed_dim=8", "use_offset=false"])
+    loaded, config = load_checkpoint(path)
     assert list(loaded) == list(arrays)
     for k in arrays:
         np.testing.assert_array_equal(loaded[k], np.asarray(arrays[k], dtype=np.float32))
+    assert config == ["embed_dim=8", "use_offset=false"]
+
+
+def test_checkpoint_version_one_is_refused(tmp_path):
+    """Version 1 held no config; no reader for it is kept."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.zeros(3, dtype=np.float32)}, [])
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", 1)
+    raw[-4:] = struct.pack("<I", zlib.crc32(bytes(raw[:-4])) & 0xFFFFFFFF)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_detects_corruption(tmp_path):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, {"w": np.zeros(3, dtype=np.float32)})
+    save_checkpoint(path, {"w": np.zeros(3, dtype=np.float32)}, [])
     raw = bytearray(path.read_bytes())
     raw[-6] ^= 0xFF  # flip a payload byte
     path.write_bytes(bytes(raw))
@@ -586,7 +601,7 @@ def test_every_truncated_or_bit_flipped_checkpoint_is_a_value_error(tmp_path):
     """Fuzz: each proper prefix, and each single-bit flip, of a checkpoint."""
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
-                           "b": np.ones(2, dtype=np.float32)})
+                           "b": np.ones(2, dtype=np.float32)}, ["seed=3"])
     raw = path.read_bytes()
     for cut in range(len(raw)):
         path.write_bytes(raw[:cut])
@@ -610,6 +625,6 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
 def test_checkpoint_writes_are_byte_stable(tmp_path):
     arrays = {"w": np.arange(6, dtype=np.float32).reshape(2, 3)}
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    save_checkpoint(p1, arrays)
-    save_checkpoint(p2, arrays)
+    save_checkpoint(p1, arrays, ["seed=3"])
+    save_checkpoint(p2, arrays, ["seed=3"])
     assert p1.read_bytes() == p2.read_bytes()
