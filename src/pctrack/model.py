@@ -64,8 +64,6 @@ class TrackerModel:
     def __init__(self, cfg: RunConfig, dtype=np.float32):
         self.cfg = cfg.validate()
         self.dtype = dtype
-        self.use_prm = cfg.use_prm          # off → coarse stage only
-        self.pool_radius = cfg.pool_radius
         rng = np.random.default_rng(cfg.seed)
         self.backbone = Backbone(cfg, rng, dtype=dtype)
         # use_prt off → the parameter-free cosine matcher
@@ -149,13 +147,13 @@ class TrackerModel:
         c_refine = c_pool_s = c_pool_t = c_prm = None
         if not replay:
             plan = ModelPlan(backbone=bplan)
-        if self.use_prm:
+        if self.cfg.use_prm:  # off → coarse stage only
             mapped, i_star = prm_offset(cs, coarse, pinned_index=plan.best_index)
             plan.best_index = i_star
             f_s, c_pool_s, group_s = local_pool_forward(
-                cs, cs, xs, self.pool_radius, group=plan.pool_group_search)
+                cs, cs, xs, self.cfg.pool_radius, group=plan.pool_group_search)
             f_t, c_pool_t, group_t = local_pool_forward(
-                mapped, ct, xt, self.pool_radius, group=plan.pool_group_template)
+                mapped, ct, xt, self.cfg.pool_radius, group=plan.pool_group_template)
             plan.pool_group_search = group_s
             plan.pool_group_template = group_t
             refined, c_refine = self.heads.refine_forward(f_s, f_t, mapped, training)

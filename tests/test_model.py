@@ -114,11 +114,28 @@ def test_predict_canonical_rejects_non_finite_coordinates(branch, value):
 # ---------------------------------------------------------------- checkpoints
 
 
+def scramble_params(model, seed=777):
+    """Overwrites every parameter with values its init seed would not give,
+    so a model that matches it can only have loaded them."""
+    rng = np.random.default_rng(seed)
+    for p in model.params():
+        p.value[...] = rng.normal(scale=0.1, size=p.value.shape)
+
+
+def assert_same_state(a, b):
+    sa, sb = a.state_dict(), b.state_dict()
+    assert sa.keys() == sb.keys()
+    for name in sa:
+        np.testing.assert_array_equal(sa[name], sb[name], err_msg=name)
+
+
 def test_model_checkpoint_roundtrip(tmp_path):
     a = TrackerModel(tiny_config(seed=6))
+    scramble_params(a)
     path = tmp_path / "model.ckpt"
     a.save(path)
     b = TrackerModel.from_checkpoint(path)
+    assert_same_state(a, b)
     out_a, _ = run_forward(a)
     out_b, _ = run_forward(b, plan=out_a.plan)
     np.testing.assert_array_equal(out_a.final.cls_logits, out_b.final.cls_logits)
@@ -130,10 +147,12 @@ def test_checkpoint_carries_its_config(tmp_path):
     config file beside it."""
     cfg = apply_ablation(config_for_profile("tiny"), "no-offset")
     a = build_model(cfg)
+    scramble_params(a)
     path = tmp_path / "model.ckpt"
     a.save(path)
     b = TrackerModel.from_checkpoint(path)
     assert b.cfg == cfg and b.cfg.use_offset is False
+    assert_same_state(a, b)
     out_a, _ = run_forward(a)
     out_b, _ = run_forward(b)
     np.testing.assert_array_equal(out_a.final.cls_logits, out_b.final.cls_logits)
