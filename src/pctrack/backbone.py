@@ -108,7 +108,10 @@ class SetAbstraction:
         return self.norm.buffers() if self.norm is not None else {}
 
     def forward(self, coords: np.ndarray, feats: np.ndarray,
-                selection: SampleSelection, training: bool = False):
+                selection: SampleSelection, training: bool = False,
+                keep_cache: bool = True):
+        """Returns ((centroids, pooled), cache); ``keep_cache=False`` returns
+        ``None`` as the cache, so the per-hit arrays die with this call."""
         sel = selection.indices
         centroids = coords[sel]
         # A centroid's exact distance to itself is 0, so every row has a hit.
@@ -131,6 +134,8 @@ class SetAbstraction:
         pooled[order] = top
         if self.norm is None:
             pooled, _ = relu_forward(pooled)
+        if not keep_cache:
+            return (centroids, pooled), None
         cache = (order, src, sizes, rel, feats, z, top, c_norm, pooled)
         return (centroids, pooled), cache
 
@@ -203,11 +208,12 @@ class Backbone:
 
     def forward(self, coords_t: np.ndarray, coords_s: np.ndarray,
                 rng: np.random.Generator, plan: BackbonePlan | None = None,
-                training: bool = False):
+                training: bool = False, keep_cache: bool = True):
         """Run both branches; returns ((coords_t', X^t, coords_s', X^s), cache).
 
         Passing a previously returned plan replays its centroid selections,
         making the forward a deterministic function of the parameters.
+        ``keep_cache=False`` keeps no level's cache and returns ``None``.
         """
         coords_t = np.asarray(coords_t, dtype=self.dtype)
         coords_s = np.asarray(coords_s, dtype=self.dtype)
@@ -236,11 +242,11 @@ class Backbone:
                 sel_t = select_points(self.template_sampler, ct, feats_t, None, k_t, rng, i)
                 sel_s = select_points(self.search_sampler, cs, feats_s, feats_t, k_s, rng, i)
                 plan.selections.append((sel_t, sel_s))
-            (ct, feats_t), cache_t = level.forward(ct, feats_t, sel_t, training)
-            (cs, feats_s), cache_s = level.forward(cs, feats_s, sel_s, training)
+            (ct, feats_t), cache_t = level.forward(ct, feats_t, sel_t, training, keep_cache)
+            (cs, feats_s), cache_s = level.forward(cs, feats_s, sel_s, training, keep_cache)
             level_caches.append((cache_t, cache_s))
 
-        cache = (c_embed_t, c_embed_s, level_caches)
+        cache = (c_embed_t, c_embed_s, level_caches) if keep_cache else None
         return (ct, feats_t, cs, feats_s, plan), cache
 
     def backward(self, d_feats_t: np.ndarray, d_feats_s: np.ndarray, cache):

@@ -10,6 +10,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -87,6 +88,13 @@ def _out_dir(args) -> Path:
 
 
 def cmd_synth(args) -> int:
+    # Checked before the output directory exists, so a bad flag leaves nothing.
+    for flag, value, least in (("--tracklets", args.tracklets, 1),
+                               ("--frames", args.frames, 1),
+                               ("--points", args.points, 1),
+                               ("--seed", args.seed, 0)):
+        if value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
     out = _out_dir(args)
     tracklets = []
     for i in range(args.tracklets):
@@ -257,20 +265,28 @@ def cmd_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise ValueError("--repeats must be >= 1")
     cfg = _resolve_config(args)
     model = build_model(cfg)
     rng = np.random.default_rng(cfg.seed)
     coords_t = rng.uniform(-2.0, 2.0, size=(args.template, 3))
     coords_s = rng.uniform(-3.0, 3.0, size=(args.search, 3))
 
+    # The forward that tracking runs: no backward follows, so no caches.
+    def forward():
+        model.forward(coords_t, coords_s, np.random.default_rng(0), keep_cache=False)
+
     for _ in range(args.warmup):
-        model.forward(coords_t, coords_s, np.random.default_rng(0))
+        forward()
 
     total_ms = []
+    faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(args.repeats):
         t0 = time.perf_counter()
-        model.forward(coords_t, coords_s, np.random.default_rng(0))
+        forward()
         total_ms.append((time.perf_counter() - t0) * 1e3)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults0
 
     stats = {
         "template": args.template,
@@ -278,6 +294,7 @@ def cmd_bench(args) -> int:
         "repeats": args.repeats,
         "total_ms_min": float(np.min(total_ms)),
         "total_ms_mean": float(np.mean(total_ms)),
+        "minor_faults_per_forward": faults / args.repeats,
     }
     if args.json:
         print(json.dumps(stats, indent=1, sort_keys=True))
@@ -286,6 +303,7 @@ def cmd_bench(args) -> int:
               f"({args.repeats} repeats)")
         print(f"  total           min {stats['total_ms_min']:8.2f} ms   "
               f"mean {stats['total_ms_mean']:8.2f} ms")
+        print(f"  minor faults    {stats['minor_faults_per_forward']:8.1f} per forward")
     return 0
 
 
@@ -369,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run gradient and oracle self-checks")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("bench", help="time the forward pass")
+    p = sub.add_parser("bench",
+                       help="time the tracking forward pass and count its page faults")
     p.add_argument("--template", type=int, default=512)
     p.add_argument("--search", type=int, default=1024)
     p.add_argument("--repeats", type=int, default=20)

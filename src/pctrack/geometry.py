@@ -376,6 +376,8 @@ def ball_query_padded(
     m, n = q.shape[0], c.shape[0]
     if n == 0:
         raise ValueError("cloud must be non-empty")
+    if m == 0:
+        return np.zeros((0, min(max_k, n)), dtype=np.int64), np.zeros(0, dtype=np.int64)
     r2 = radius * radius
     q32, c32, qn, e = float32_filter(q, c, r2)
     if e == np.inf:  # out of range: a filter on zeros keeps every pair

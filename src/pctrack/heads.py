@@ -172,7 +172,7 @@ def prm_offset_backward(d_mapped: np.ndarray, seed_coords: np.ndarray,
 
 def local_pool_forward(queries: np.ndarray, cloud_coords: np.ndarray,
                        cloud_feats: np.ndarray, radius: float = 1.0,
-                       group=None):
+                       group=None, keep_cache: bool = True):
     """Max-pool each query's in-radius neighbor features; empty → zero row.
 
     Pools by value over the real neighbors only, in the jagged layout of
@@ -180,7 +180,8 @@ def local_pool_forward(queries: np.ndarray, cloud_coords: np.ndarray,
     the first maximum in neighbor order. ``group`` replays a previous
     (idx, counts) neighborhood assignment, ``idx`` being the padded (M, K)
     matrix trimmed to the widest neighborhood, so the pooling becomes a
-    fixed function of the feature values.
+    fixed function of the feature values. ``keep_cache=False`` returns
+    ``None`` as the cache, so the gathered features die with this call.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -199,7 +200,7 @@ def local_pool_forward(queries: np.ndarray, cloud_coords: np.ndarray,
     filled = order[: sizes[0]]
     pooled = np.zeros((idx.shape[0], cloud_feats.shape[1]), dtype=cloud_feats.dtype)
     pooled[filled] = top
-    cache = (src, filled, sizes, z, top, cloud_feats.shape[0])
+    cache = (src, filled, sizes, z, top, cloud_feats.shape[0]) if keep_cache else None
     return pooled, cache, group
 
 

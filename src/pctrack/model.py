@@ -129,12 +129,18 @@ class TrackerModel:
 
     def forward(self, coords_t: np.ndarray, coords_s: np.ndarray,
                 rng: np.random.Generator, plan: ModelPlan | None = None,
-                training: bool = False):
-        """Returns (ModelOutput, cache)."""
+                training: bool = False, keep_cache: bool = True):
+        """Returns (ModelOutput, cache).
+
+        ``keep_cache=False`` returns ``None`` as the cache: a forward that no
+        backward follows (tracking) then frees each stage's per-hit arrays
+        as the stage returns instead of holding them to the end.
+        """
         replay = plan is not None
         (ct, xt, cs, xs, bplan), c_backbone = self.backbone.forward(
             coords_t, coords_s, rng,
-            plan=plan.backbone if replay else None, training=training)
+            plan=plan.backbone if replay else None, training=training,
+            keep_cache=keep_cache)
 
         if self.prt is not None:
             xs_hat, c_match = self.prt.forward(xs, xt)
@@ -151,15 +157,19 @@ class TrackerModel:
             mapped, i_star = prm_offset(cs, coarse, pinned_index=plan.best_index)
             plan.best_index = i_star
             f_s, c_pool_s, group_s = local_pool_forward(
-                cs, cs, xs, self.cfg.pool_radius, group=plan.pool_group_search)
+                cs, cs, xs, self.cfg.pool_radius, group=plan.pool_group_search,
+                keep_cache=keep_cache)
             f_t, c_pool_t, group_t = local_pool_forward(
-                mapped, ct, xt, self.cfg.pool_radius, group=plan.pool_group_template)
+                mapped, ct, xt, self.cfg.pool_radius, group=plan.pool_group_template,
+                keep_cache=keep_cache)
             plan.pool_group_search = group_s
             plan.pool_group_template = group_t
             refined, c_refine = self.heads.refine_forward(f_s, f_t, mapped, training)
             c_prm = (cs, coarse.reg[i_star].copy(), i_star)
 
         output = ModelOutput(coarse=coarse, refined=refined, seeds=cs, plan=plan)
+        if not keep_cache:
+            return output, None
         cache = (c_backbone, c_match, c_coarse, c_refine, c_pool_s, c_pool_t,
                  c_prm)
         return output, cache
@@ -168,6 +178,9 @@ class TrackerModel:
                  d_refined_cls: np.ndarray | None,
                  d_refined_reg: np.ndarray | None, cache):
         """Accumulates parameter gradients from per-stage output gradients."""
+        if cache is None:
+            raise ValueError("backward needs the cache of a forward run with "
+                             "keep_cache=True; this forward kept none")
         c_backbone, c_match, c_coarse, c_refine, c_pool_s, c_pool_t, c_prm = cache
 
         d_xs = None
@@ -205,5 +218,6 @@ class TrackerModel:
         this protocol (the evaluation oracle uses them); the network itself
         only needs the two canonicalized clouds.
         """
-        output, _ = self.forward(template_xyz, search_xyz, rng, training=False)
+        output, _ = self.forward(template_xyz, search_xyz, rng, training=False,
+                                 keep_cache=False)
         return output.final, output.seeds

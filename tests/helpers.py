@@ -55,6 +55,18 @@ def foreground_fixture(rng: np.random.Generator, n_search: int = 160, fg_frac: f
     return search, template, fg_mask
 
 
+def desk_crops(seed: int = 0, n_template: int = 410, n_search: int = 900):
+    """Canonical-frame crops at the ``desk`` operating point: a car-sized
+    object's points as the template, and the search crop around it holding
+    the object moved one frame on plus clutter, about 900 points in all."""
+    rng = np.random.default_rng(seed)
+    size = np.array([3.6, 1.8, 1.5])
+    template = rng.uniform(-0.5, 0.5, size=(n_template, 3)) * size
+    moved = rng.uniform(-0.5, 0.5, size=(n_template, 3)) * size + [0.35, 0.0, 0.0]
+    clutter = rng.uniform(-1.0, 1.0, size=(n_search - n_template, 3)) * [4.0, 3.0, 1.0]
+    return template, rng.permutation(np.vstack([moved, clutter]))
+
+
 def reference_sa_forward(sa, coords, feats, selection, training=False):
     """Padded set-abstraction level: encode all m·k slots of the padded
     grid (BN statistics over all of them), rectify, argmax-pool.

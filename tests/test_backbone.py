@@ -8,7 +8,7 @@ from pctrack.geometry import ball_query_padded
 from pctrack.numeric import grad_check
 from pctrack.sampling import SampleSelection, sample_dfps, sample_random
 
-from helpers import reference_sa_backward, reference_sa_forward
+from helpers import desk_crops, reference_sa_backward, reference_sa_forward
 
 
 def tiny_backbone(seed=0, dtype=np.float64):
@@ -192,6 +192,37 @@ def run_sa_against_padded_reference(dtype, use_bn, training, max_neighbors,
     return ([pooled, d_feats, *(p.grad for p in sa.params()), *sa.buffers().values()],
             [pooled_ref, d_feats_ref, *(p.grad for p in ref.params()),
              *(ref_bufs[name] for name in sa.buffers())])
+
+
+@pytest.mark.parametrize("use_bn,training", [(False, False), (True, False), (True, True)])
+def test_sa_without_cache_pools_the_same_groups(use_bn, training, monkeypatch):
+    """A desk level-1 crop: ``keep_cache=False`` returns no cache, and the
+    same centroids, pooled bits and ball-query groups."""
+    import pctrack.backbone
+
+    cfg = config_for_profile("desk")
+    rng = np.random.default_rng(6)
+    sa = SetAbstraction(cfg.embed_dim, cfg.sa_channels[0], cfg.sa_radii[0],
+                        cfg.sa_max_neighbors, rng, "sa", use_bn=use_bn)
+    _, coords = desk_crops(6)
+    coords = coords.astype(np.float32)
+    feats = rng.normal(size=(coords.shape[0], cfg.embed_dim)).astype(np.float32)
+    sel = sample_dfps(coords, cfg.sa_search_points[0])
+    groups = []
+
+    def spy(*args):
+        groups.append(ball_query_padded(*args))
+        return groups[-1]
+
+    monkeypatch.setattr(pctrack.backbone, "ball_query_padded", spy)
+    (c0, p0), cache = sa.forward(coords, feats, sel, training)
+    (c1, p1), none = sa.forward(coords, feats, sel, training, keep_cache=False)
+    assert cache is not None and none is None
+    np.testing.assert_array_equal(c0, c1)
+    np.testing.assert_array_equal(p0, p1)
+    (idx0, counts0), (idx1, counts1) = groups
+    np.testing.assert_array_equal(idx0, idx1)
+    np.testing.assert_array_equal(counts0, counts1)
 
 
 @pytest.mark.parametrize("use_bn,training,max_neighbors", [

@@ -9,6 +9,7 @@ import pctrack.cli
 from pctrack.checks import CheckResult, oracle_suite
 from pctrack.cli import main
 from pctrack.evaldata import load_dataset
+from pctrack.model import TrackerModel
 from pctrack.numeric import load_checkpoint, save_checkpoint
 
 
@@ -44,6 +45,17 @@ def test_synth_writes_deterministic_dataset(tmp_path, capsys):
                  "--out", str(other)]) == 0
     assert not _filecmp(tmp_path / "a" / "tracklet_000" / "frame_0000.bin",
                         other / "tracklet_000" / "frame_0000.bin")
+
+
+@pytest.mark.parametrize("flag,value", [("--tracklets", "0"), ("--frames", "0"),
+                                        ("--points", "0"), ("--seed", "-1")])
+def test_synth_bad_count_or_seed_is_validation_error(flag, value, tmp_path, capsys):
+    """Refused before the output directory is made, naming the flag."""
+    out = tmp_path / "ds"
+    assert main(["synth", "--out", str(out), "--tracklets", "1", "--frames", "2",
+                 flag, value]) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -303,6 +315,28 @@ def test_bench_json_output(capsys):
     assert stats["template"] == 48 and stats["search"] == 64
     assert stats["total_ms_min"] > 0
     assert stats["total_ms_mean"] >= stats["total_ms_min"]
+    assert stats["minor_faults_per_forward"] >= 0
+
+
+def test_bench_times_the_cache_free_forward(monkeypatch, capsys):
+    seen = []
+    real = TrackerModel.forward
+
+    def spy(self, *args, **kwargs):
+        out, cache = real(self, *args, **kwargs)
+        seen.append(cache)
+        return out, cache
+
+    monkeypatch.setattr(TrackerModel, "forward", spy)
+    assert main(["bench", "--profile", "tiny", "--template", "32", "--search", "48",
+                 "--repeats", "2", "--warmup", "1"]) == 0
+    assert seen == [None] * 3
+    assert "minor faults" in capsys.readouterr().out
+
+
+def test_bench_zero_repeats_is_validation_error(capsys):
+    assert main(["bench", "--profile", "tiny", "--repeats", "0"]) == 1
+    assert "--repeats" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["ras", "hybrid"])

@@ -412,6 +412,14 @@ def test_ball_query_caps_at_max_k():
     np.testing.assert_array_equal(idx[0], [0, 1, 2])
 
 
+@pytest.mark.parametrize("max_k", [1, 4, 16])
+def test_ball_query_zero_queries_is_empty(max_k):
+    cloud = np.zeros((5, 3))
+    idx, counts = ball_query_padded(np.zeros((0, 3)), cloud, radius=1.0, max_k=max_k)
+    assert idx.shape == (0, min(max_k, 5)) and counts.shape == (0,)
+    assert idx.dtype == counts.dtype == np.int64
+
+
 def test_ball_query_matches_brute_force():
     rng = np.random.default_rng(77)
     for _ in range(10):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pctrack.checks import tiny_config
+from pctrack.config import config_for_profile
 from pctrack.geometry import Box3D
 from pctrack.heads import (
     Heads,
@@ -16,7 +17,7 @@ from pctrack.heads import (
 )
 from pctrack.numeric import Param, grad_check
 
-from helpers import reference_local_pool_backward, reference_local_pool_forward
+from helpers import desk_crops, reference_local_pool_backward, reference_local_pool_forward
 
 
 SMALL_CONFIG = tiny_config(sa_channels=(6, 6), coarse_hidden=(8, 8),
@@ -210,6 +211,26 @@ def test_local_pool_matches_argmax_reference_bitwise():
     d_feats = local_pool_backward(d_pooled, cache)
     assert d_feats.dtype == np.float32
     np.testing.assert_array_equal(d_feats, reference_local_pool_backward(d_pooled, ref_cache))
+
+
+@pytest.mark.parametrize("replay", [False, True])
+def test_local_pool_without_cache_pools_the_same_group(replay):
+    """Desk refinement shapes: 128 seeds pooled over 128 search points of
+    256 channels; ``keep_cache=False`` returns no cache, the same pooled bits
+    and the same (idx, counts) group."""
+    cfg = config_for_profile("desk")
+    rng = np.random.default_rng(41)
+    _, search = desk_crops(41)
+    seeds = search[rng.choice(search.shape[0], cfg.sa_search_points[-1], replace=False)]
+    seeds = seeds.astype(np.float32)
+    feats = rng.normal(size=(seeds.shape[0], cfg.sa_channels[-1])).astype(np.float32)
+    p0, cache, g0 = local_pool_forward(seeds, seeds, feats, cfg.pool_radius)
+    p1, none, g1 = local_pool_forward(seeds, seeds, feats, cfg.pool_radius,
+                                      group=g0 if replay else None, keep_cache=False)
+    assert cache is not None and none is None
+    np.testing.assert_array_equal(p0, p1)
+    np.testing.assert_array_equal(g0[0], g1[0])
+    np.testing.assert_array_equal(g0[1], g1[1])
 
 
 def test_local_pool_rejects_bad_radius():

@@ -9,6 +9,8 @@ from pctrack.config import RunConfig, apply_ablation, build_model, config_for_pr
 from pctrack.model import ModelOutput, TrackerModel
 from pctrack.numeric import load_checkpoint, save_checkpoint
 
+from helpers import desk_crops
+
 
 def tiny_clouds(seed=0, n_t=8, n_s=10):
     rng = np.random.default_rng(seed)
@@ -109,6 +111,62 @@ def test_predict_canonical_rejects_non_finite_coordinates(branch, value):
     (ct if branch == "template" else cs)[4, 1] = value
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
         model.predict_canonical(ct, cs, None, 0, np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------- forward caches
+
+
+@pytest.mark.parametrize("profile", ["desk", "full"])
+def test_forward_without_caches_is_bitwise_equal(profile):
+    """keep_cache only decides what the forward keeps for a backward; the
+    outputs, the seeds and every discrete decision are the same bits."""
+    model = build_model(config_for_profile(profile))
+    ct, cs = desk_crops(3)
+    kept, cache = model.forward(ct, cs, np.random.default_rng(4))
+    bare, none = model.forward(ct, cs, np.random.default_rng(4), keep_cache=False)
+    assert cache is not None and none is None
+    for a, b in [(kept.coarse, bare.coarse), (kept.refined, bare.refined)]:
+        np.testing.assert_array_equal(a.cls_logits, b.cls_logits)
+        np.testing.assert_array_equal(a.reg, b.reg)
+    np.testing.assert_array_equal(kept.seeds, bare.seeds)
+    for pair_a, pair_b in zip(kept.plan.backbone.selections, bare.plan.backbone.selections):
+        for a, b in zip(pair_a, pair_b):
+            np.testing.assert_array_equal(a.indices, b.indices)
+            assert a.padded == b.padded
+    assert kept.plan.best_index == bare.plan.best_index
+    for a, b in [(kept.plan.pool_group_search, bare.plan.pool_group_search),
+                 (kept.plan.pool_group_template, bare.plan.pool_group_template)]:
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
+
+    pred, seeds = model.predict_canonical(ct, cs, None, 0, np.random.default_rng(4))
+    np.testing.assert_array_equal(pred.cls_logits, kept.final.cls_logits)
+    np.testing.assert_array_equal(pred.reg, kept.final.reg)
+    np.testing.assert_array_equal(seeds, kept.seeds)
+
+
+def test_predict_canonical_runs_one_forward_without_caches(monkeypatch):
+    model = TrackerModel(tiny_config(seed=0))
+    calls = []
+    real = TrackerModel.forward
+
+    def spy(self, *args, **kwargs):
+        out, cache = real(self, *args, **kwargs)
+        calls.append(cache)
+        return out, cache
+
+    monkeypatch.setattr(TrackerModel, "forward", spy)
+    ct, cs = tiny_clouds(1)
+    model.predict_canonical(ct, cs, None, 0, np.random.default_rng(0))
+    assert calls == [None]
+
+
+def test_backward_of_a_cache_free_forward_is_value_error():
+    model = TrackerModel(tiny_config(seed=0))
+    out, cache = model.forward(*tiny_clouds(1), np.random.default_rng(2), keep_cache=False)
+    zeros = np.zeros_like(out.coarse.cls_logits), np.zeros_like(out.coarse.reg)
+    with pytest.raises(ValueError, match="keep_cache=True"):
+        model.backward(*zeros, *zeros, cache)
 
 
 # ---------------------------------------------------------------- checkpoints
