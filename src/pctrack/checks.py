@@ -133,7 +133,7 @@ def gradient_suite() -> list[CheckResult]:
 
     coords = rng.uniform(-1, 1, size=(7, 3))
     feats = rng.normal(size=(7, 4))
-    sel = SampleSelection(indices=np.arange(4), method="dfps")
+    sel = SampleSelection(np.arange(4))
     ws = rng.normal(size=(4, 5))
     for use_bn in (False, True):
         level = SetAbstraction(4, 5, 1.0, 3, np.random.default_rng(3), name="sa",
@@ -187,12 +187,18 @@ def greedy_fps_oracle(points: np.ndarray, k: int, start: int = 0) -> list[int]:
     return chosen
 
 
+def ras_oracle_scores(search_feats: np.ndarray, template_feats: np.ndarray) -> list[float]:
+    """Each search row's distance to its nearest template row, from the
+    differences to every template row."""
+    t = np.asarray(template_feats)
+    return [float(np.sqrt(((t - s) ** 2).sum(axis=1)).min()) for s in np.asarray(search_feats)]
+
+
 def ras_sort_oracle(search_feats: np.ndarray, template_feats: np.ndarray, k: int) -> list[int]:
     """Relation-aware selection by a full pairwise-distance sort: each search
     row scored by its nearest template row, lowest scores first, lowest
     index on ties."""
-    v = [min(float(np.linalg.norm(s - t)) for t in template_feats)
-         for s in search_feats]
+    v = ras_oracle_scores(search_feats, template_feats)
     return sorted(range(len(v)), key=lambda i: (v[i], i))[:k]
 
 
@@ -259,6 +265,22 @@ def oracle_suite() -> list[CheckResult]:
             ras_ok = False
     results.append(CheckResult("relation-aware-sampling",
                                "20 random fixtures vs sort of pairwise distances", ras_ok))
+
+    # The level-1 shape of a dense crop, 4000 x 1600 x 32: a ReLU embedding
+    # of 3-D points, so the pair skip on slabs of the principal axis runs.
+    # 90 search rows are template rows (score 0), 400 more have twins, and k
+    # splits a tie.
+    w, b = rng.normal(size=(3, 32)), rng.normal(scale=0.5, size=32)
+    pts_t = rng.uniform(-1.0, 1.0, size=(1600, 3))
+    pts_s = np.vstack([pts_t[:90], rng.uniform(-1.5, 1.5, size=(3910, 3))])
+    ft, fs = (np.maximum(p @ w + b, 0.0) for p in (pts_t, pts_s))
+    fs[3000:3400] = fs[90:490]
+    v = ras_oracle_scores(fs, ft)
+    order = sorted(range(len(v)), key=lambda i: (v[i], i))
+    k = next(r for r in range(256, len(v)) if v[order[r - 1]] == v[order[r]])
+    results.append(CheckResult(
+        "relation-aware-sampling-dense", f"4000 x 1600 x 32, k={k} inside a tie, vs sort",
+        sample_ras(fs, ft, k).indices.tolist() == order[:k]))
 
     # Two unit cubes offset by half an edge along one axis: IoU exactly 1/3.
     a = Box3D((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0)

@@ -287,8 +287,9 @@ def pair_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def float32_filter(a: np.ndarray, b: np.ndarray, r2: float = 0.0):
-    """Float32 copies of ``a`` and ``b``, the copy's row norms ``S_i = |a_i|²``
-    and the bound ``E`` of a float32 filter in front of ``pair_sq_dist``.
+    """Float32 copies of ``a`` and ``b``, their row norms ``S_i = |a_i|²`` and
+    ``|b_j|²``, and the bound ``E`` of a float32 filter in front of
+    ``pair_sq_dist``.
 
     The copies are the inputs themselves when both are float32. Let ``g_ij``
     be the float32 ``|b_j|² - 2·a_i·b_j`` of ``shifted_sq_dist_blocks`` on the
@@ -309,31 +310,33 @@ def float32_filter(a: np.ndarray, b: np.ndarray, r2: float = 0.0):
         with np.errstate(over="ignore"):  # out-of-range values read inf
             a32, b32 = a.astype(np.float32), b.astype(np.float32)
     an = np.einsum("ij,ij->i", a32, a32)
+    bn = np.einsum("ij,ij->i", b32, b32)
     big_a = float(an.max(initial=0.0))
-    big_b = float(np.einsum("ij,ij->i", b32, b32).max(initial=0.0))
+    big_b = float(bn.max(initial=0.0))
     e = np.inf
     if big_a <= _NORM_LIMIT and big_b <= _NORM_LIMIT:
         d = a.shape[1]
         e = (4 * d + 24) * _U32 * (big_a + big_b + r2) + (d + 1) * 2.0 ** -100
-    return a32, b32, an, e
+    return a32, b32, an, bn, e
 
 
-def shifted_sq_dist_blocks(a: np.ndarray, b: np.ndarray):
+def shifted_sq_dist_blocks(a: np.ndarray, b: np.ndarray, bn: np.ndarray):
     """Yield ``(lo, hi, h)`` with ``h = |b|² - 2·a[lo:hi]·bᵀ``, block by block.
 
     ``h`` is the squared distance of each row of ``a`` to every row of ``b``
-    less the row's own ``|a|²``: the approximate side of ``float32_filter``.
-    Each block is one GEMM of ``[a, 1]`` against the row-major
-    ``[-2bᵀ; |b|²]``, built once per call (the inner-product form that FAISS
-    uses), so no (M, N) matrix is ever built. The arithmetic runs in ``a``'s
-    dtype, which ``b`` must share, and a block holds ``_BLOCK_BYTES`` of it.
-    ``h`` is a reused buffer, valid only until the next block is drawn.
+    less the row's own ``|a|²``: the approximate side of ``float32_filter``,
+    whose row norms of ``b`` are ``bn``. Each block is one GEMM of ``[a, 1]``
+    against the row-major ``[-2bᵀ; |b|²]``, built once per call (the
+    inner-product form that FAISS uses), so no (M, N) matrix is ever built.
+    The arithmetic runs in ``a``'s dtype, which ``b`` and ``bn`` must share,
+    and a block holds ``_BLOCK_BYTES`` of it. ``h`` is a reused buffer, valid
+    only until the next block is drawn.
     """
     m, d = a.shape
     n = b.shape[0]
     right = np.empty((d + 1, n), dtype=a.dtype)
     np.multiply(b.T, -2.0, out=right[:d])
-    np.sum(b * b, axis=1, out=right[d])
+    right[d] = bn
     rows = min(m, max(1, _BLOCK_BYTES // (a.itemsize * max(n, 1))))
     left = np.ones((rows, d + 1), dtype=a.dtype)
     buf = np.empty((rows, n), dtype=a.dtype)
@@ -379,12 +382,13 @@ def ball_query_padded(
     if m == 0:
         return np.zeros((0, min(max_k, n)), dtype=np.int64), np.zeros(0, dtype=np.int64)
     r2 = radius * radius
-    q32, c32, qn, e = float32_filter(q, c, r2)
+    q32, c32, qn, cn, e = float32_filter(q, c, r2)
     if e == np.inf:  # out of range: a filter on zeros keeps every pair
-        q32, c32, qn = np.zeros_like(q32), np.zeros_like(c32), np.zeros_like(qn)
+        q32, c32 = np.zeros_like(q32), np.zeros_like(c32)
+        qn, cn = np.zeros_like(qn), np.zeros_like(cn)
     limit = float32_at_least(np.subtract(r2 + e, qn, dtype=np.float64))[:, None]
     near = []
-    for lo, hi, h in shifted_sq_dist_blocks(q32, c32):
+    for lo, hi, h in shifted_sq_dist_blocks(q32, c32, cn):
         # Candidates come out row-major, and the exact test keeps that order.
         flat = np.flatnonzero(h <= limit[lo:hi]) + lo * n
         r, j = np.divmod(flat, n)

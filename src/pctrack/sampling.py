@@ -8,11 +8,18 @@ round-robin, with the padding recorded on the result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _BLOCK_BYTES, float32_filter, pair_sq_dist, shifted_sq_dist_blocks
+from .geometry import (
+    _BLOCK_BYTES,
+    _U32,
+    float32_filter,
+    pair_sq_dist,
+    shifted_sq_dist_blocks,
+)
 
 
 @dataclass(frozen=True)
@@ -20,15 +27,10 @@ class SampleSelection:
     """Ordered source-point indices chosen by one sampler."""
 
     indices: np.ndarray
-    method: str
     padded: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
-
-    @property
-    def k(self) -> int:
-        return self.indices.shape[0]
 
 
 def _pad_round_robin(indices: np.ndarray, k: int) -> np.ndarray:
@@ -44,11 +46,11 @@ def sample_random(n: int, k: int, rng: np.random.Generator) -> SampleSelection:
         raise ValueError("need at least one point")
     perm = rng.permutation(n).astype(np.int64)
     if k <= n:
-        return SampleSelection(perm[:k], "random")
-    return SampleSelection(_pad_round_robin(perm, k), "random", padded=True)
+        return SampleSelection(perm[:k])
+    return SampleSelection(_pad_round_robin(perm, k), padded=True)
 
 
-def _greedy_farthest(points: np.ndarray, k: int, start_index: int, method: str) -> SampleSelection:
+def _greedy_farthest(points: np.ndarray, k: int, start_index: int) -> SampleSelection:
     """Greedy farthest-point order from ``start_index``, lowest index on ties.
 
     Each pick is the point whose minimum row-local squared distance to the
@@ -98,13 +100,13 @@ def _greedy_farthest(points: np.ndarray, k: int, start_index: int, method: str) 
         np.minimum(min_d2, row, out=min_d2)
         min_d2[nxt] = -1.0
     if k <= n:
-        return SampleSelection(chosen, method)
-    return SampleSelection(_pad_round_robin(chosen, k), method, padded=True)
+        return SampleSelection(chosen)
+    return SampleSelection(_pad_round_robin(chosen, k), padded=True)
 
 
 def sample_dfps(coords: np.ndarray, k: int, start_index: int = 0) -> SampleSelection:
     """Greedy farthest-point selection in Euclidean coordinate space."""
-    return _greedy_farthest(np.asarray(coords, dtype=np.float64), k, start_index, "dfps")
+    return _greedy_farthest(np.asarray(coords, dtype=np.float64), k, start_index)
 
 
 def dfps_prefix(n: int, k: int) -> SampleSelection:
@@ -116,12 +118,12 @@ def dfps_prefix(n: int, k: int) -> SampleSelection:
     copies come last, at distance 0, in index order (README, "Exact
     shortcuts").
     """
-    return SampleSelection(_pad_round_robin(np.arange(n), k), "dfps", padded=k > n)
+    return SampleSelection(_pad_round_robin(np.arange(n), k), padded=k > n)
 
 
 def sample_ffps(features: np.ndarray, k: int, start_index: int = 0) -> SampleSelection:
     """Greedy farthest-point selection measured in feature space."""
-    return _greedy_farthest(np.asarray(features, dtype=np.float64), k, start_index, "ffps")
+    return _greedy_farthest(np.asarray(features, dtype=np.float64), k, start_index)
 
 
 def _exhaustive_scores(s: np.ndarray, t: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -148,19 +150,18 @@ def ras_scores(search_feats: np.ndarray, template_feats: np.ndarray,
     ``u``, ``R`` and ``E`` of ``float32_filter(s, t)``, ``g_ij + S_i`` lies
     within ``E`` of the pair's exact squared score.
 
-    With ``a_i = min_j g_ij + S_i``, each row's exact minimum lies within
-    ``a_i ± E``, so ``τ``, the k-th smallest ``a_i + E``, bounds the k-th
-    score from above, and a row with ``a_i - E > τ`` cannot rank. Within a
-    row that can, only columns with ``g_ij <= min_j g_ij + 2E`` can hold the
-    minimum, and only those pairs are scored exactly. When the rows span
-    more than one block, they are filtered in the order of their squared
-    distance to the template's per-channel [min, max] box, which bounds
-    every pair's distance from below (in float32 it errs by at most
-    ``(2d + 6)·u·R``), and the filter stops at the first row whose box
-    distance less ``E`` exceeds ``τ``: no later row can rank.
-    Non-finite rows rank after all others. Inputs outside the filter's range
-    (``|x| > 2^40``, a non-finite template) are scored against every
-    template row.
+    With ``a_i`` at least ``min_j g_ij + S_i``, each row's exact minimum is
+    at most ``a_i + E``, so ``τ``, the k-th smallest ``a_i + E``, bounds the
+    k-th score from above, and a row whose score exceeds ``τ`` cannot rank.
+    Within a row that can, only columns with ``g_ij <= min_j g_ij + 2E`` can
+    hold the minimum, and only those pairs are scored exactly. When the rows
+    span more than one block, the squared distance of a row to the
+    template's per-channel [min, max] box bounds its score from below (in
+    float32 it errs by at most ``(2d + 6)·u·R``), and rows whose box
+    distance exceeds ``τ + E`` are skipped; large calls also skip pairs
+    (``_slab_pairs``). Non-finite rows rank after all others. Inputs outside
+    the filter's range (``|x| > 2^40``, a non-finite template) are scored
+    against every template row.
     """
     s = np.asarray(search_feats)
     t = np.asarray(template_feats)
@@ -173,36 +174,66 @@ def ras_scores(search_feats: np.ndarray, template_feats: np.ndarray,
         return np.empty(0)
     n = t.shape[0]
     k = m if k is None else min(max(k, 1), m)
-    s32, t32, sn, e = float32_filter(s, t)
+    s32, t32, sn, tn, e = float32_filter(s, t)
     v = np.full(m, np.inf)
     if e == np.inf:
         finite = np.isfinite(s).all(axis=1)
         rest = np.arange(m)
-        if not finite.all() and float32_filter(s[finite], t)[3] < np.inf:
+        if not finite.all() and float32_filter(s[finite], t)[4] < np.inf:
             v[finite] = ras_scores(s[finite], t, k)
             rest = rest[~finite] if k > finite.sum() else rest[:0]
         v[rest] = _exhaustive_scores(s, t, rest)
         return v
-    order = None
+    pairs = bound = None
+    cut = np.inf
     if k < m and m * n * s32.itemsize > _BLOCK_BYTES:
-        gap = np.maximum(s32, t32.min(axis=0))
-        np.minimum(gap, t32.max(axis=0), out=gap)
-        np.subtract(s32, gap, out=gap)  # each row's offset from the box
-        bound = np.einsum("ij,ij->i", gap, gap)
+        bound = _box_sq_dist(s32, t32)
+        if m * n >= _SLAB_MIN_PAIRS:
+            pairs, cut = _slab_pairs(s32, t32, sn, tn, e, k, bound)
+    if pairs is None:
+        pairs = _row_pairs(s32, t32, sn, tn, e, k, bound, cut)
+    rows, cols, several = pairs
+    d2 = pair_sq_dist(s.take(rows, axis=0), t.take(cols, axis=0))
+    if several:
+        np.minimum.at(v, rows, d2)
+    else:
+        v[rows] = d2
+    return np.sqrt(v, out=v)
+
+
+def _box_sq_dist(s32: np.ndarray, t32: np.ndarray) -> np.ndarray:
+    """Squared distance of each search row to the template's per-channel
+    [min, max] box, a lower bound of its every pair's."""
+    gap = np.maximum(s32, t32.min(axis=0))
+    np.minimum(gap, t32.max(axis=0), out=gap)
+    np.subtract(s32, gap, out=gap)
+    return np.einsum("ij,ij->i", gap, gap)
+
+
+def _row_pairs(s32, t32, sn, tn, e, k, bound, cut):
+    """``(rows, cols, several)``: the pairs to score exactly, every template
+    row against the rows that can rank, with ``several`` set when some row
+    has more than one. ``cut`` is ``τ + E``, ``+inf`` until known, and
+    tightens as blocks are scored. With ``bound`` (``_box_sq_dist``), rows
+    are filtered in the order of that bound, and the filter stops at the
+    first row whose bound exceeds ``cut``."""
+    m, n = s32.shape[0], t32.shape[0]
+    order = None
+    if bound is not None:
         order = np.argsort(bound)
         bound, sn = bound[order], sn[order]
         s32 = s32.take(order, axis=0)
     a = np.empty(m, dtype=np.float32)
-    cut = np.inf  # τ + E: no row with a_i > cut can rank
     rows, cols = [], []
     several = False  # some row has more than one column in its band
-    for lo, hi, h in shifted_sq_dist_blocks(s32, t32):
+    for lo, hi, h in shifted_sq_dist_blocks(s32, t32, tn):
         h_min = h.min(axis=1)
         keep = None
         if k < m:
             np.add(h_min, sn[lo:hi], out=a[lo:hi])
             if hi >= k:
-                cut = np.partition(a[:hi], k - 1)[k - 1] + 2.0 * e
+                cut = min(cut, np.partition(a[:hi], k - 1)[k - 1] + 2.0 * e)
+            if cut < np.inf:
                 keep = (a[lo:hi] <= cut).nonzero()[0]
                 h, h_min = h[keep], h_min[keep]
         r, c = np.divmod((h <= (h_min + 2.0 * e)[:, None]).ravel().nonzero()[0], n)
@@ -220,12 +251,146 @@ def ras_scores(search_feats: np.ndarray, template_feats: np.ndarray,
             rows, cols = rows[hit], cols[hit]
     if order is not None:
         rows = order[rows]
-    d2 = pair_sq_dist(s.take(rows, axis=0), t.take(cols, axis=0))
-    if several:
-        np.minimum.at(v, rows, d2)
-    else:
-        v[rows] = d2
-    return np.sqrt(v, out=v)
+    return rows, cols, several
+
+
+# The pair skip of ``_slab_pairs`` runs from this many search × template
+# pairs on, and only when its windows hold at most this share of the pairs
+# of the rows that can rank: otherwise the row skip alone is cheaper.
+_SLAB_MIN_PAIRS = 1 << 20
+_SLAB_MAX_SHARE = 0.5
+_SLAB_ROWS = 128  # search rows per slab
+_SLAB_BAND_ROWS = 64  # rows per GEMM of the band pass
+_SLAB_REPS = 32  # template rows whose scores give the first τ
+_POWER_STEPS = 4
+
+
+def _principal_axis(t32: np.ndarray) -> np.ndarray:
+    """A float32 unit vector, shortened by 2^-20, near the top principal axis
+    of the template rows (power iteration on their covariance). Any vector of
+    norm at most 1 gives the slab bound; this one spreads the template most."""
+    sample = t32[:: max(1, t32.shape[0] // 256)]
+    n, d = sample.shape
+    mean = np.ones(n, dtype=t32.dtype) @ sample / n
+    cov = (sample.T @ sample).astype(np.float64) - n * np.outer(mean, mean)
+    axis = np.zeros(d)
+    axis[np.argmax(np.diag(cov))] = 1.0
+    for _ in range(_POWER_STEPS):
+        step = cov @ axis
+        norm = math.sqrt(step @ step)
+        if not norm > 0.0:  # no variance along it: keep the unit vector
+            break
+        axis = step / norm
+    return (axis * (1.0 - 2.0 ** -20)).astype(np.float32)
+
+
+def _slab_pairs(s32, t32, sn, tn, e, k, bound):
+    """``((rows, cols, several), cut)`` as in ``_row_pairs``, found on slabs
+    of the template's top principal axis; ``(None, cut)`` when the slab
+    windows would hold more than ``_SLAB_MAX_SHARE`` of the pairs.
+
+    Both sides are projected on the axis ``p`` of ``_principal_axis``
+    (``|p| < 1``), in float32, so ``y_i = s_i·p`` and ``z_j = t_j·p`` err by
+    at most ``1.02·d·u·|x|``, and ``|s_i - t_j| >= |y_i - z_j| - ε`` with
+    ``ε = 1.02·d·u·sqrt(2R)``. The float32 copies move ``pair_sq_dist`` by at
+    most ``5.02·u·R`` (``float32_filter``), so a pair with
+    ``|y_i - z_j| > W = sqrt(L + 6·u·R) + 1.1·(d + 1)·u·sqrt(2R)`` has an
+    exact squared distance above ``L``; the slack beyond ``5.02·u·R`` and
+    ``ε`` covers the rounding of ``W`` and of the float64 window ends.
+
+    ``τ`` starts as the k-th smallest score bound against ``_SLAB_REPS``
+    template rows spread along the axis, over the rows closest to the box.
+    The rows whose box distance is within ``τ + E`` are sorted by ``y`` and
+    cut into slabs of ``_SLAB_ROWS``; a slab spanning ``[y_lo, y_hi]`` is
+    filtered against the template rows with ``z`` in
+    ``[y_lo - W, y_hi + W]`` for ``L = τ + 2E``, one contiguous slice of the
+    template sorted by ``z``, and ``τ`` tightens as slabs are scored. A row
+    whose bound passes the final ``τ + E`` has its nearest template row
+    within ``τ + 2E``, so inside every window it met. The band pass then
+    scores those rows against the window of the final ``τ``, in groups of
+    ``_SLAB_BAND_ROWS`` along the axis.
+    """
+    m, d = s32.shape
+    n = t32.shape[0]
+    big = float(sn.max()) + float(tn.max())
+    axis = _principal_axis(t32)
+    ys, yt = s32 @ axis, t32 @ axis
+    torder = np.argsort(yt)
+    zt = yt[torder].astype(np.float64)
+    right = np.empty((n, d + 1), dtype=np.float32)
+    np.multiply(t32.take(torder, axis=0), -2.0, out=right[:, :d])
+    right[:, d] = tn[torder]
+
+    # τ from representatives, over at least 4k rows nearest the box.
+    near = np.flatnonzero(bound <= np.partition(bound, min(m, 4 * k) - 1)[min(m, 4 * k) - 1])
+    reps = right[(np.arange(_SLAB_REPS) * n + n // 2) // _SLAB_REPS]
+    rep_t, rep_n = np.ascontiguousarray(reps[:, :d]), reps[:, d:]
+    a = np.full(m, np.inf, dtype=np.float32)
+    for lo in range(0, near.shape[0], 512):
+        r = near[lo:lo + 512]
+        u = np.matmul(rep_t, s32.take(r, axis=0).T)
+        u += rep_n
+        a[r] = u.min(axis=0) + sn[r]
+    kth = float(np.partition(a, k - 1)[k - 1])
+    cut = kth + 2.0 * e
+
+    live = np.flatnonzero(bound <= cut)
+    order = live[np.argsort(ys[live])]
+    nl = order.shape[0]
+    y = ys[order].astype(np.float64)
+    a, sn = a[order], sn[order]
+    slabs = -(-nl // _SLAB_ROWS)
+    ends = (np.arange(slabs + 1) * nl) // slabs
+    slack = 6.0 * _U32 * big + e
+    eps = 1.1 * (d + 1) * _U32 * math.sqrt(2.0 * big)
+
+    def window(lo_rows, hi_rows, cut):
+        """Template rows ``c0:c1`` in reach of the rows at slab positions
+        ``lo_rows..hi_rows`` (``W`` for ``L = cut + E``); one at exactly
+        ``W`` is out of reach thanks to the slack in ``W``."""
+        w = math.sqrt(cut + slack) + eps
+        return np.searchsorted(zt, (y[lo_rows] - w, y[hi_rows] + w))
+
+    c0, c1 = window(ends[:-1], ends[1:] - 1, cut)
+    if int(np.diff(ends) @ (c1 - c0)) > _SLAB_MAX_SHARE * nl * n:
+        return None, cut
+    left = np.ones((d + 1, _SLAB_ROWS), dtype=np.float32)
+    buf = np.empty(0, dtype=np.float32)
+
+    def shifted(rows, r, c0, c1):
+        """``h`` of the ``r`` slab positions ``rows`` against template rows
+        c0:c1, transposed: one column per search row, in a reused buffer."""
+        nonlocal buf
+        if buf.shape[0] < (c1 - c0) * r:
+            buf = np.empty((c1 - c0) * r, dtype=np.float32)
+        np.copyto(left[:d, :r], s32.take(order[rows], axis=0).T)
+        h = buf[: (c1 - c0) * r].reshape(c1 - c0, r)
+        return np.matmul(right[c0:c1], left[:, :r], out=h)
+
+    for b in np.argsort(np.minimum.reduceat(a, ends[:-1]), kind="stable").tolist():
+        lo, hi = int(ends[b]), int(ends[b + 1])
+        c0, c1 = window(lo, hi - 1, cut)
+        if c0 == c1:
+            continue
+        ab = shifted(slice(lo, hi), hi - lo, c0, c1).min(axis=0)
+        ab += sn[lo:hi]
+        np.minimum(a[lo:hi], ab, out=a[lo:hi])
+        if ab.min() < kth:
+            kth = float(np.partition(a, k - 1)[k - 1])
+            cut = min(cut, kth + 2.0 * e)
+
+    hit = np.flatnonzero(a <= cut)
+    rows, cols = [], []
+    several = False
+    for lo in range(0, hit.shape[0], _SLAB_BAND_ROWS):
+        r = hit[lo:lo + _SLAB_BAND_ROWS]
+        c0, c1 = window(int(r[0]), int(r[-1]), cut)
+        h = shifted(r, r.shape[0], c0, c1)
+        c, i = np.divmod(np.flatnonzero(h <= h.min(axis=0) + 2.0 * e), r.shape[0])
+        several = several or c.shape[0] > r.shape[0]
+        rows.append(order[r[i]])
+        cols.append(torder[c + c0])
+    return (np.concatenate(rows), np.concatenate(cols), several), cut
 
 
 def sample_ras(search_feats: np.ndarray, template_feats: np.ndarray, k: int) -> SampleSelection:
@@ -234,8 +399,8 @@ def sample_ras(search_feats: np.ndarray, template_feats: np.ndarray, k: int) -> 
     order = np.argsort(v, kind="stable").astype(np.int64)
     n = order.shape[0]
     if k <= n:
-        return SampleSelection(order[:k], "ras")
-    return SampleSelection(_pad_round_robin(order, k), "ras", padded=True)
+        return SampleSelection(order[:k])
+    return SampleSelection(_pad_round_robin(order, k), padded=True)
 
 
 def sample_hybrid(search_feats: np.ndarray, template_feats: np.ndarray, k: int,
@@ -246,11 +411,11 @@ def sample_hybrid(search_feats: np.ndarray, template_feats: np.ndarray, k: int,
     n = np.asarray(search_feats).shape[0]
     if k >= n:
         full = sample_ras(search_feats, template_feats, k)
-        return SampleSelection(full.indices, "hybrid", padded=full.padded)
+        return full
     half = k // 2
     ras_half = sample_ras(search_feats, template_feats, half).indices
     mask = np.ones(n, dtype=bool)
     mask[ras_half] = False
     complement = np.flatnonzero(mask)
     random_half = rng.choice(complement, size=half, replace=False).astype(np.int64)
-    return SampleSelection(np.concatenate([ras_half, random_half]), "hybrid")
+    return SampleSelection(np.concatenate([ras_half, random_half]))

@@ -6,7 +6,14 @@ from pctrack.checks import tiny_config
 from pctrack.config import RunConfig, apply_ablation, config_for_profile
 from pctrack.geometry import ball_query_padded
 from pctrack.numeric import grad_check
-from pctrack.sampling import SampleSelection, sample_dfps, sample_random
+from pctrack.sampling import (
+    SampleSelection,
+    sample_dfps,
+    sample_ffps,
+    sample_hybrid,
+    sample_random,
+    sample_ras,
+)
 
 from helpers import desk_crops, reference_sa_backward, reference_sa_forward
 
@@ -29,7 +36,7 @@ def test_sa_single_point_self_neighborhood():
     sa = SetAbstraction(5, 7, 0.5, 32, rng, "sa", dtype=np.float64)
     coords = np.array([[0.3, -0.2, 0.1]])
     feats = rng.normal(size=(1, 5))
-    sel = SampleSelection(np.array([0]), "dfps")
+    sel = SampleSelection(np.array([0]))
     (cent, pooled), _ = sa.forward(coords, feats, sel)
     np.testing.assert_array_equal(cent, coords)
     lin = sa.linear
@@ -67,13 +74,13 @@ def test_sa_pool_invariant_under_point_reordering():
     sa = SetAbstraction(4, 8, 0.9, 16, rng, "sa", dtype=np.float64)
     coords = rng.normal(scale=0.4, size=(16, 3))
     feats = rng.normal(size=(16, 4))
-    sel = SampleSelection(np.array([2, 7, 11]), "dfps")
+    sel = SampleSelection(np.array([2, 7, 11]))
     (_, base), _ = sa.forward(coords, feats, sel)
 
     perm = rng.permutation(16)
     inv = np.empty(16, dtype=np.int64)
     inv[perm] = np.arange(16)
-    sel_p = SampleSelection(inv[sel.indices], "dfps")
+    sel_p = SampleSelection(inv[sel.indices])
     (_, permuted), _ = sa.forward(coords[perm], feats[perm], sel_p)
     np.testing.assert_array_equal(base, permuted)
 
@@ -84,7 +91,7 @@ def test_sa_split_matmul_matches_plain_concat():
     sa = SetAbstraction(6, 9, 1.0, 8, rng, "sa", dtype=np.float64)
     coords = rng.normal(scale=0.5, size=(12, 3))
     feats = rng.normal(size=(12, 6))
-    sel = SampleSelection(np.array([0, 3, 6, 9]), "dfps")
+    sel = SampleSelection(np.array([0, 3, 6, 9]))
     (_, pooled), _ = sa.forward(coords, feats, sel)
 
     idx, _ = ball_query_padded(coords[sel.indices], coords, 1.0, 8)
@@ -434,7 +441,7 @@ def test_backbone_dfps_selections_equal_per_level_sample_dfps(profile, ablation,
             got = plan.selections[level][side]
             want = sample_dfps(pts, budget)
             np.testing.assert_array_equal(got.indices, want.indices)
-            assert (got.padded, got.method) == (want.padded, "dfps")
+            assert got.padded == want.padded
             assert got.padded == (level == 0 and pts.shape[0] < budget)
             pts = pts[got.indices]
             checked += 1
@@ -446,9 +453,16 @@ def test_select_points_dispatch():
     coords = rng.normal(size=(12, 3))
     feats = rng.normal(size=(12, 5))
     tfeats = rng.normal(size=(4, 5))
-    for method in ("random", "dfps", "ffps", "ras", "hybrid"):
-        sel = select_points(method, coords, feats, tfeats, 4, rng)
-        assert sel.k == 4
-        assert sel.method == method
+    direct = {
+        "random": lambda r: sample_random(12, 4, r),
+        "dfps": lambda r: sample_dfps(coords, 4),
+        "ffps": lambda r: sample_ffps(feats, 4),
+        "ras": lambda r: sample_ras(feats, tfeats, 4),
+        "hybrid": lambda r: sample_hybrid(feats, tfeats, 4, r),
+    }
+    for method, sampler in direct.items():
+        sel = select_points(method, coords, feats, tfeats, 4, np.random.default_rng(27))
+        assert sel.indices.shape == (4,)
+        np.testing.assert_array_equal(sel.indices, sampler(np.random.default_rng(27)).indices)
     with pytest.raises(ValueError):
         select_points("voxel", coords, feats, tfeats, 4, rng)

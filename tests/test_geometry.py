@@ -465,8 +465,9 @@ def test_ball_query_matches_reference_at_radius_ties_and_empty_rows():
 
 def test_sq_dist_blocks_cover_every_row_once():
     rng = np.random.default_rng(80)
+    b = rng.normal(size=(700, 3))
     spans = [(lo, hi) for lo, hi, _ in shifted_sq_dist_blocks(rng.normal(size=(3000, 3)),
-                                                             rng.normal(size=(700, 3)))]
+                                                             b, np.sum(b * b, axis=1))]
     assert len(spans) > 1
     assert spans[0][0] == 0 and spans[-1][1] == 3000
     assert all(h == l for (_, h), (l, _) in zip(spans, spans[1:]))
@@ -480,7 +481,8 @@ def test_sq_dist_blocks_work_in_the_input_dtype():
     rows = {}
     for dtype in (np.float64, np.float32):
         got = np.empty_like(want)
-        for lo, hi, h in shifted_sq_dist_blocks(a.astype(dtype), b.astype(dtype)):
+        bd = b.astype(dtype)
+        for lo, hi, h in shifted_sq_dist_blocks(a.astype(dtype), bd, np.sum(bd * bd, axis=1)):
             assert h.dtype == dtype
             rows.setdefault(dtype, hi - lo)
             got[lo:hi] = h

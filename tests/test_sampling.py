@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import pctrack.sampling as sampling
 from pctrack.geometry import pair_sq_dist
 from pctrack.sampling import (
     SampleSelection,
@@ -49,13 +50,13 @@ def test_random_unique_when_not_padded():
         k = int(rng.integers(1, n + 1))
         sel = sample_random(n, k, rng)
         assert len(set(sel.indices.tolist())) == k
-        assert sel.k == k
+        assert sel.indices.shape == (k,)
 
 
 def test_random_padding_round_robin():
     sel = sample_random(3, 8, np.random.default_rng(5))
     assert sel.padded
-    assert sel.k == 8
+    assert sel.indices.shape == (8,)
     base = sel.indices[:3].tolist()
     assert sel.indices.tolist() == base + base + base[:2]
 
@@ -159,7 +160,7 @@ def test_dfps_is_prefix_closed_on_its_own_order():
             got = sample_dfps(ordered, k2)
             want = dfps_prefix(k1, k2)
             np.testing.assert_array_equal(got.indices, want.indices)
-            assert (got.padded, got.method) == (want.padded, want.method)
+            assert got.padded == want.padded
             padded_second += got.padded
     assert padded_first >= 50 and padded_second >= 240
 
@@ -349,6 +350,132 @@ def test_relation_scores_stay_sparse_at_level1_size():
     assert np.isfinite(v).sum() <= 512
 
 
+def _relu_embedding(rng, n_template, n_search, width, shared, dtype=np.float64):
+    """Template and search features: a ReLU layer over 3-D points, so the
+    rows spread along a few principal axes as trained features do. The
+    first ``shared`` search rows are template rows."""
+    w, b = rng.normal(size=(3, width)), rng.normal(scale=0.5, size=width)
+    pts_t = rng.uniform(-1.0, 1.0, size=(n_template, 3))
+    pts_s = np.vstack([pts_t[:shared], rng.uniform(-1.5, 1.5, size=(n_search - shared, 3))])
+    return tuple(np.maximum(p @ w + b, 0.0).astype(dtype) for p in (pts_t, pts_s))
+
+
+@pytest.fixture
+def slab_path(monkeypatch):
+    """Every call with k < m takes the pair skip on principal-axis slabs,
+    whatever its size and however little its windows skip. Yields one flag
+    per call: whether the slab filter ran to the end."""
+    monkeypatch.setattr(sampling, "_BLOCK_BYTES", 0)
+    monkeypatch.setattr(sampling, "_SLAB_MIN_PAIRS", 0)
+    monkeypatch.setattr(sampling, "_SLAB_MAX_SHARE", 1.0)
+    ran = []
+    inner = sampling._slab_pairs
+
+    def spy(*args):
+        pairs, cut = inner(*args)
+        ran.append(pairs is not None)
+        return pairs, cut
+
+    monkeypatch.setattr(sampling, "_slab_pairs", spy)
+    return ran
+
+
+def _slab_case(name, rng):
+    if name == "zero-variance":
+        template = np.repeat(rng.normal(size=(1, 5)), 60, axis=0)
+        search = rng.normal(size=(400, 5))
+        search[::9] = template[0]
+    elif name.startswith("d="):
+        d = int(name[2:])
+        template = np.round(rng.uniform(-1.0, 1.0, size=(300, d)), 2)
+        search = np.round(rng.uniform(-1.5, 1.5, size=(700, d)), 2)
+        search[:40] = template[:40]
+    elif name == "ties":
+        template, search = _relu_embedding(rng, 300, 800, 8, 50)
+        template, search = np.round(template, 1), np.round(search, 1)
+        search[400:600] = search[:200]
+        template[150:250] = template[:100]
+    elif name.startswith("offset="):
+        template, search = _relu_embedding(rng, 250, 600, 6, 30)
+        template, search = template + float(name[7:]), search + float(name[7:])
+    else:  # non-finite rows
+        template, search = _relu_embedding(rng, 250, 600, 6, 30)
+        search[7, 2], search[100, 0], search[333] = np.nan, np.inf, -np.inf
+    return template, search
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", ["zero-variance", "d=1", "d=2", "d=3", "ties", "offset=30",
+                                  "offset=100", "offset=1e3", "offset=1e5", "non-finite"])
+def test_slab_path_ranks_like_oracle(slab_path, name, dtype):
+    """The slab pair skip, forced on: exact scores for every row that can
+    rank, ``+inf`` or exact for the rest, including k inside a tie. At
+    offsets 30 and 100, ``E`` is close to the gaps between scores, so a
+    window without its ``τ + 2E`` margin loses rows' nearest pairs."""
+    rng = np.random.default_rng(90)
+    template, search = _slab_case(name, rng)
+    template, search = template.astype(dtype), search.astype(dtype)
+    want = np.sort(reference_ras_scores(search, template))
+    tied = [k for k in range(1, want.shape[0]) if want[k - 1] == want[k]]
+    for k in {1, 17, 256, search.shape[0] - 1, *tied[:: max(1, len(tied) // 3)]}:
+        _assert_ranks_like_oracle(search, template, k)
+    assert all(slab_path) and len(slab_path) >= 4
+
+
+def test_slab_path_matches_direct_oracle_on_random_inputs(slab_path):
+    """The random fixtures of the one-block test, through the slab filter."""
+    rng = np.random.default_rng(91)
+    for case in range(60):
+        m, n, d = int(rng.integers(2, 150)), int(rng.integers(1, 60)), int(rng.integers(1, 20))
+        grid = [0.5, 0.1, 1e-3, 0.0][case % 4]
+        template = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-2, 2)
+        search = rng.normal(size=(m, d)) * 10.0 ** rng.uniform(-2, 2)
+        if grid:
+            template, search = np.round(template / grid) * grid, np.round(search / grid) * grid
+        if case % 3 == 0:
+            search[::2] = search[: (m + 1) // 2][: search[::2].shape[0]]
+            search[: m // 3] = template[rng.integers(0, n, size=m // 3)]
+        if case % 2:
+            template, search = template.astype(np.float32), search.astype(np.float32)
+        for k in {1, int(rng.integers(1, m)), m - 1}:
+            _assert_ranks_like_oracle(search, template, k)
+    assert all(slab_path)
+
+
+class _CountingNumpy:
+    """NumPy, with ``matmul`` counting its output entries."""
+
+    def __init__(self):
+        self.pairs = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, **kwargs):
+        self.pairs += a.shape[0] * b.shape[-1]
+        return np.matmul(a, b, **kwargs)
+
+
+def test_relation_filter_skips_pairs_at_level1_size(monkeypatch):
+    """Work guard at the level-1 shape of a dense crop, 4000 x 1600 x 32,
+    k = 256, on features with principal axes: the float32 filter evaluates
+    at most a fifth of the pairs, so a silent full scan fails."""
+    counter = _CountingNumpy()
+    monkeypatch.setattr(sampling, "np", counter)
+    blocks = sampling.shifted_sq_dist_blocks
+
+    def counted_blocks(*args):
+        for lo, hi, h in blocks(*args):
+            counter.pairs += h.size
+            yield lo, hi, h
+
+    monkeypatch.setattr(sampling, "shifted_sq_dist_blocks", counted_blocks)
+    template, search = _relu_embedding(np.random.default_rng(79), 1600, 4000, 32, 90, np.float32)
+    v = _assert_ranks_like_oracle(search, template, 256)
+    assert (v[:90] == 0.0).all()
+    assert 0 < counter.pairs <= 4000 * 1600 // 5
+
+
 # ---------------------------------------------------------------- RAS selection
 
 
@@ -464,12 +591,13 @@ def test_selection_lengths(n, k):
         sample_ffps(feats, k),
         sample_ras(feats, template, k),
     ):
-        assert sel.k == k
+        assert sel.indices.shape == (k,)
         assert (sel.indices < n).all() and (sel.indices >= 0).all()
         assert sel.padded == (k > n)
 
 
-def test_selection_type_carries_method_tag():
+def test_selection_type_holds_int64_indices():
     sel = sample_random(4, 2, np.random.default_rng(14))
     assert isinstance(sel, SampleSelection)
-    assert sel.method == "random"
+    assert sel.indices.dtype == np.int64
+    np.testing.assert_array_equal(sel.indices, np.random.default_rng(14).permutation(4)[:2])
