@@ -23,6 +23,7 @@ from .numeric import (
     Linear,
     MLP,
     Param,
+    add_rows_at,
     jagged_layout,
     jagged_max_forward,
     jagged_max_winners,
@@ -75,21 +76,30 @@ def select_points(method: str, coords: np.ndarray, feats: np.ndarray,
 class SetAbstraction:
     """Group-and-pool encoder for one level, shared between branches.
 
-    Each centroid gathers up to ``max_neighbors`` ball-query neighbors. Each
-    real neighbor (a hit) is encoded from (its feature row ++ its
-    centroid-relative coordinates) by one shared Linear, an optional BN and
-    a ReLU, and each group max-pools to one output row. The Linear's matmul
-    is split into a per-point part, computed once per source point, and a
-    per-hit relative part: the same arithmetic at a fraction of the cost.
+    Each centroid c_i gathers up to ``max_neighbors`` ball-query neighbors.
+    Each real neighbor j (a hit) is encoded from its feature row and its
+    centroid-relative coordinates by one shared Linear, an optional BN and
+    a ReLU, and each group max-pools to one output row. The Linear is
+    applied once per source point and once per centroid, never per hit:
+
+        [f_j, x_j − c_i] @ Wᵀ + b  =  P_j − Q_i + b,
+        P = [f, x − o] @ Wᵀ,   Q = (c − o) @ W_rᵀ,
+
+    with W_r the offset columns of W and o the level's first centroid, so
+    that |x − o| is bounded by the crop, not by the distance to the world
+    origin. A hit's pre-activation is defined as fl(fl(P_j − Q_i) + b).
 
     Hits are laid out as in ``numeric.jagged_layout``; the pad slots of the
     padded (m, k) grid repeat a row's first hit and cannot change its max.
-    Without BN the level pools the pre-activations and rectifies the m
-    pooled rows (ReLU is monotone, so it commutes with max), and the
-    backward writes only the m·c winner entries. With BN, whose gamma can be
-    negative, every hit is normalised and rectified before the pool. BN's
-    batch statistics are those of the padded grid: each row's first hit
-    counts 1 + (k − count) times.
+    Without BN the level pools the P rows of the hits and shifts and
+    rectifies the m pooled rows alone: subtracting Q_i, adding b and the
+    ReLU are monotone, also after rounding, so this gives the bits of the
+    max over the hits' pre-activations. Each channel's winner is its first
+    maximum of the pooled quantity (P here), and the backward writes only
+    the m·c winner entries. With BN, whose gamma can be negative, every hit
+    is shifted, normalised and rectified before the pool. BN's batch
+    statistics are those of the padded grid: each row's first hit counts
+    1 + (k − count) times.
     """
 
     def __init__(self, in_ch: int, out_ch: int, radius: float, max_neighbors: int,
@@ -117,14 +127,16 @@ class SetAbstraction:
         # A centroid's exact distance to itself is 0, so every row has a hit.
         idx, counts = ball_query_padded(centroids, coords, self.radius, self.max_neighbors)
         order, src, rowpos, sizes = jagged_layout(idx, counts)
-        rel = (coords[src] - centroids[order[rowpos]]).astype(feats.dtype)
-        w_feat = self.linear.weight.value[:, : self.in_ch]
-        w_rel = self.linear.weight.value[:, self.in_ch:]
-        z = (feats @ w_feat.T)[src]
-        z += rel @ w_rel.T
-        z += self.linear.bias.value
+        origin = centroids[0]
+        x = np.concatenate([feats, (coords - origin).astype(feats.dtype)], axis=1)
+        rel_c = (centroids - origin).astype(feats.dtype)
+        weight, bias = self.linear.weight.value, self.linear.bias.value
+        q = rel_c @ weight[:, self.in_ch:].T
+        z = (x @ weight.T)[src]
         c_norm = None
         if self.norm is not None:
+            z -= q[order[rowpos]]
+            z += bias
             weights = np.ones(src.size, dtype=z.dtype)
             weights[: sizes[0]] += idx.shape[1] - counts[order[: sizes[0]]]
             z, c_norm = self.norm.forward(z, training, weights)
@@ -133,15 +145,17 @@ class SetAbstraction:
         pooled = np.empty_like(top)
         pooled[order] = top
         if self.norm is None:
+            pooled -= q
+            pooled += bias
             pooled, _ = relu_forward(pooled)
         if not keep_cache:
             return (centroids, pooled), None
-        cache = (order, src, sizes, rel, feats, z, top, c_norm, pooled)
+        cache = (order, src, rowpos, sizes, x, rel_c, z, top, c_norm, pooled)
         return (centroids, pooled), cache
 
     def backward(self, d_pooled: np.ndarray, cache) -> np.ndarray:
         """Returns the gradient w.r.t. the level's input features."""
-        order, src, sizes, rel, feats, z, top, c_norm, pooled = cache
+        order, src, rowpos, sizes, x, rel_c, z, top, c_norm, pooled = cache
         hits = jagged_winner_hits(jagged_max_winners(z, top, sizes), sizes)
         if self.norm is None:
             # Only each channel's winner carries gradient, so work on the m·c
@@ -149,22 +163,22 @@ class SetAbstraction:
             # run in the same order as over the padded layout.
             win = np.empty_like(hits)
             win[order] = hits
-            dz = relu_backward(d_pooled, pooled)
-            g = scatter_rows(dz, src[win], feats.shape[0])
-            d_w_rel = np.einsum("mo,mor->or", dz, rel[win])
+            dq = relu_backward(d_pooled, pooled)
+            g = scatter_rows(dq, src[win], x.shape[0])
         else:
             # BN's batch statistics reach every hit.
             dz = np.zeros_like(z)
             dz[hits, np.arange(z.shape[1])] = d_pooled[order]
             dz = self.norm.backward(relu_backward(dz, z), c_norm)
-            g = np.zeros((feats.shape[0], dz.shape[1]), dtype=dz.dtype)
-            np.add.at(g, src, dz)
-            d_w_rel = dz.T @ rel
-        w_feat = self.linear.weight.value[:, : self.in_ch]
-        self.linear.weight.grad[:, : self.in_ch] += g.T @ feats
-        self.linear.weight.grad[:, self.in_ch:] += d_w_rel
-        self.linear.bias.grad += dz.sum(axis=0)
-        return g @ w_feat
+            g = add_rows_at(dz, src, x.shape[0])
+            dq = add_rows_at(dz, order[rowpos], order.size)
+        # g is the gradient of P, whose rows are x; Q, over the centroids'
+        # offsets, entered with a minus sign.
+        weight = self.linear.weight
+        weight.grad += g.T @ x
+        weight.grad[:, self.in_ch:] -= dq.T @ rel_c
+        self.linear.bias.grad += dq.sum(axis=0)
+        return g @ weight.value[:, : self.in_ch]
 
 
 @dataclass

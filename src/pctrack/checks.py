@@ -1,6 +1,7 @@
 """Self-checks: finite-difference gradient checks of every differentiable
 block and of the composed network, and brute-force oracles for the
-samplers, the ball query, the box IoU and the metrics.
+samplers, the ball query, the set-abstraction level, the box IoU and the
+metrics.
 
 ``pctrack check`` runs both suites; the tests use the same oracles and the
 same tiny check model.
@@ -219,6 +220,30 @@ def ball_query_matches(queries, cloud, radius: float, max_k: int) -> bool:
                for row, n, w in zip(idx, counts, want))
 
 
+def concat_linear_sa_oracle(level: SetAbstraction, coords: np.ndarray, feats: np.ndarray,
+                            selection: SampleSelection) -> np.ndarray:
+    """An eval-mode SA level by scalar loops: every slot of the padded
+    ball-query grid through the plain Linear of its concatenated row
+    [f_j, x_j − c_i], then BN with the running statistics, ReLU, and the
+    max over the row's slots."""
+    w, b = level.linear.weight.value, level.linear.bias.value
+    norm = level.norm
+    centroids = coords[selection.indices]
+    idx, _ = ball_query_padded(centroids, coords, level.radius, level.max_neighbors)
+    out = np.zeros((len(idx), len(b)))   # starting the max at 0 is the ReLU
+    for i, row in enumerate(idx):
+        for j in row:
+            x = [*feats[j], *(coords[j] - centroids[i])]
+            for c in range(len(b)):
+                z = sum(float(x_t) * float(w_t) for x_t, w_t in zip(x, w[c])) + float(b[c])
+                if norm is not None:
+                    z = (float(norm.gamma.value[c]) * (z - float(norm.running_mean[c]))
+                         / float(np.sqrt(norm.running_var[c] + norm.eps))
+                         + float(norm.beta.value[c]))
+                out[i, c] = max(out[i, c], z)
+    return out
+
+
 def mc_box_iou(a: Box3D, b: Box3D, n_samples: int, rng: np.random.Generator) -> float:
     """Monte-Carlo IoU: uniform samples over the joint AABB, membership counting."""
     corners = []
@@ -323,4 +348,26 @@ def oracle_suite() -> list[CheckResult]:
     ball_ok &= ball_query_matches(queries, cloud, 0.4, 16)
     results.append(CheckResult("ball-query",
                                "21 fixtures vs every pair's direct distance", ball_ok))
+
+    # Crops up to 1e3 m from the origin, BN with random running statistics
+    # and gammas of both signs.
+    worst = 0.0
+    for trial in range(8):
+        n, m = int(rng.integers(20, 60)), int(rng.integers(4, 16))
+        level = SetAbstraction(5, 6, 0.7, 8, rng, "sa", dtype=np.float64,
+                               use_bn=trial % 2 == 1)
+        if level.norm is not None:
+            level.norm.gamma.value[:] = rng.normal(size=6)
+            level.norm.beta.value[:] = rng.normal(size=6)
+            level.norm.running_mean[:] = rng.normal(size=6)
+            level.norm.running_var[:] = rng.uniform(0.5, 2.0, size=6)
+        coords = rng.uniform(-1.0, 1.0, size=(n, 3)) + rng.uniform(-600.0, 600.0, size=3)
+        feats = rng.normal(size=(n, 5))
+        sel = sample_dfps(coords, m)
+        (_, pooled), _ = level.forward(coords, feats, sel, keep_cache=False)
+        want = concat_linear_sa_oracle(level, coords, feats, sel)
+        worst = max(worst, float((np.abs(pooled - want) / np.maximum(1.0, np.abs(want))).max()))
+    results.append(CheckResult("set-abstraction",
+                               f"8 fixtures with and without BN vs scalar-loop concat Linear, "
+                               f"max rel err {worst:.1e}", worst < 1e-9))
     return results

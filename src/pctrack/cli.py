@@ -10,6 +10,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import resource
 import sys
 import time
@@ -87,15 +88,21 @@ def _out_dir(args) -> Path:
 # ---------------------------------------------------------------------------
 
 
+def _check_flags(*rules):
+    """Each (flag, value, least) must be a finite number >= least (NaN fails)."""
+    for flag, value, least in rules:
+        if not least <= value < math.inf:
+            raise ValueError(f"{flag} must be a finite number >= {least}, got {value}")
+
+
 def cmd_synth(args) -> int:
-    # Checked before the output directory exists, so a bad flag leaves nothing.
-    for flag, value, least in (("--tracklets", args.tracklets, 1),
-                               ("--frames", args.frames, 1),
-                               ("--points", args.points, 1),
-                               ("--seed", args.seed, 0)):
-        if value < least:
-            raise ValueError(f"{flag} must be >= {least}, got {value}")
-    out = _out_dir(args)
+    # Flags are checked, and every tracklet built, before the output
+    # directory exists, so a bad flag leaves nothing behind.
+    _check_flags(("--tracklets", args.tracklets, 1), ("--frames", args.frames, 1),
+                 ("--points", args.points, 1), ("--seed", args.seed, 0),
+                 ("--clutter", args.clutter, 0), ("--distractors", args.distractors, 0),
+                 ("--noise", args.noise, 0), ("--speed", args.speed, 0),
+                 ("--yaw-rate", args.yaw_rate, 0))
     tracklets = []
     for i in range(args.tracklets):
         rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(i,)))
@@ -122,6 +129,7 @@ def cmd_synth(args) -> int:
             object_id=f"obj-{i:03d}",
         )
         tracklets.append(synth_tracklet(spec, seed=int(rng.integers(2**31))))
+    out = _out_dir(args)
     save_dataset(out, tracklets)
     print(f"wrote {len(tracklets)} tracklets ({args.frames} frames each) to {out}")
     return 0
@@ -265,8 +273,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.repeats < 1:
-        raise ValueError("--repeats must be >= 1")
+    _check_flags(("--template", args.template, 1), ("--search", args.search, 1),
+                 ("--repeats", args.repeats, 1), ("--warmup", args.warmup, 0))
     cfg = _resolve_config(args)
     model = build_model(cfg)
     rng = np.random.default_rng(cfg.seed)

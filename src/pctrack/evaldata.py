@@ -10,6 +10,7 @@ through static clutter with exact ground truth.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -156,6 +157,20 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_frames < 1 or self.points_on_object < 1:
             raise ValueError("need at least one frame and one object point")
+        for name in ("size", "start_center", "velocity"):
+            value = getattr(self, name)
+            if len(value) != 3 or not all(map(math.isfinite, value)):
+                raise ValueError(f"{name} must be three finite values, got {value!r}")
+        for name in ("start_yaw", "yaw_rate", "noise_sigma", "clutter_span"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name, ok, what in (("n_clutter", self.n_clutter >= 0, ">= 0"),
+                               ("n_distractors", self.n_distractors >= 0, ">= 0"),
+                               ("noise_sigma", self.noise_sigma >= 0, ">= 0"),
+                               ("clutter_span", self.clutter_span > 0, "> 0"),
+                               ("size", min(self.size) > 0, "> 0 on every axis")):
+            if not ok:
+                raise ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
 
 
 def _surface_pattern(rng: np.random.Generator, size, n: int) -> np.ndarray:

@@ -67,27 +67,43 @@ def desk_crops(seed: int = 0, n_template: int = 410, n_search: int = 900):
     return template, rng.permutation(np.vstack([moved, clutter]))
 
 
-def reference_sa_forward(sa, coords, feats, selection, training=False):
+def reference_sa_forward(sa, coords, feats, selection, training=False, concat=False):
     """Padded set-abstraction level: encode all m·k slots of the padded
-    grid (BN statistics over all of them), rectify, argmax-pool.
+    grid (BN statistics over all of them), rectify, pool.
 
-    Runs ``sa``'s own layers; returns ((centroids, pooled), cache).
+    Slot s of centroid c_i holds its neighbor j = idx[i, s] as
+    fl(fl(P_j − Q_i) + b), with P = [f, x − o] @ Wᵀ for every point,
+    Q = (c − o) @ W_rᵀ for every centroid and o the first centroid.
+    ``concat=True`` holds the plain Linear of the concatenated row instead,
+    [f_j, x_j − c_i] @ Wᵀ + b. Each channel pools the first slot with the
+    largest pooled quantity: P (or the Linear) without BN, the rectified BN
+    output with it. Runs ``sa``'s own layers; returns ((centroids, pooled),
+    cache).
     """
     sel = selection.indices
     centroids = coords[sel]
     idx, _ = ball_query_padded(centroids, coords, sa.radius, sa.max_neighbors)
     m, k = idx.shape
-    rel = (coords[idx] - centroids[:, None, :]).astype(feats.dtype)
-    w_feat = sa.linear.weight.value[:, : sa.in_ch]
-    w_rel = sa.linear.weight.value[:, sa.in_ch:]
-    z = (feats @ w_feat.T)[idx] + rel @ w_rel.T + sa.linear.bias.value
+    weight, bias = sa.linear.weight.value, sa.linear.bias.value
+    if concat:
+        rel = (coords[idx] - centroids[:, None, :]).astype(feats.dtype)
+        key = np.concatenate([feats[idx], rel], axis=2) @ weight.T + bias
+        z = key
+    else:
+        origin = centroids[0]
+        rel = ((coords - origin).astype(feats.dtype),
+               (centroids - origin).astype(feats.dtype))
+        key = (np.concatenate([feats, rel[0]], axis=1) @ weight.T)[idx]
+        z = key - (rel[1] @ weight[:, sa.in_ch:].T)[:, None, :] + bias
     z = z.reshape(m * k, -1)
     c_norm = None
     if sa.norm is not None:
         z, c_norm = sa.norm.forward(z, training)
     z, c_act = relu_forward(z)
     grouped = z.reshape(m, k, -1)
-    arg = grouped.argmax(axis=1)
+    if sa.norm is not None:
+        key = grouped
+    arg = key.argmax(axis=1)
     pooled = np.take_along_axis(grouped, arg[:, None, :], axis=1)[:, 0, :]
     return (centroids, pooled), (idx, rel, feats, c_norm, c_act, arg)
 
@@ -105,9 +121,14 @@ def reference_sa_backward(sa, d_pooled, cache):
     dz = dz.reshape(m, k, c)
     g = np.zeros((feats.shape[0], c), dtype=dz.dtype)
     np.add.at(g, idx.reshape(-1), dz.reshape(-1, c))
-    sa.linear.weight.grad[:, : sa.in_ch] += g.T @ feats
-    sa.linear.weight.grad[:, sa.in_ch:] += np.einsum("mko,mkr->or", dz, rel)
-    sa.linear.bias.grad += dz.sum(axis=(0, 1))
+    dq = dz.sum(axis=1)
+    w_grad = sa.linear.weight.grad
+    w_grad[:, : sa.in_ch] += g.T @ feats
+    if isinstance(rel, tuple):
+        w_grad[:, sa.in_ch:] += g.T @ rel[0] - dq.T @ rel[1]
+    else:
+        w_grad[:, sa.in_ch:] += np.einsum("mko,mkr->or", dz, rel)
+    sa.linear.bias.grad += dq.sum(axis=0)
     return g @ sa.linear.weight.value[:, : sa.in_ch]
 
 

@@ -47,10 +47,14 @@ def test_synth_writes_deterministic_dataset(tmp_path, capsys):
                         other / "tracklet_000" / "frame_0000.bin")
 
 
-@pytest.mark.parametrize("flag,value", [("--tracklets", "0"), ("--frames", "0"),
-                                        ("--points", "0"), ("--seed", "-1")])
+@pytest.mark.parametrize("flag,value", [
+    ("--tracklets", "0"), ("--frames", "0"), ("--points", "0"), ("--seed", "-1"),
+    ("--clutter", "-5"), ("--distractors", "-2"), ("--noise", "-1"), ("--noise", "inf"),
+    ("--speed", "nan"), ("--speed", "-0.5"), ("--yaw-rate", "nan"),
+])
 def test_synth_bad_count_or_seed_is_validation_error(flag, value, tmp_path, capsys):
-    """Refused before the output directory is made, naming the flag."""
+    """Refused before the output directory is made, naming the flag: counts,
+    the seed, and the scene's noise and motion."""
     out = tmp_path / "ds"
     assert main(["synth", "--out", str(out), "--tracklets", "1", "--frames", "2",
                  flag, value]) == 1
@@ -218,6 +222,7 @@ def test_label_average_is_reserved(small_dataset, tmp_path, capsys):
     assert main(["synth", "--out", str(tmp_path / "s"), "--tracklets", "1",
                  "--frames", "3", "--label", "average"]) == 1
     assert "'average' is reserved" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
     data = tmp_path / "ds"
     shutil.copytree(small_dataset, data)
     meta_path = data / "tracklet_000" / "meta.json"
@@ -339,6 +344,18 @@ def test_bench_zero_repeats_is_validation_error(capsys):
     assert "--repeats" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--template", "-3"), ("--search", "0"),
+                                        ("--warmup", "-1")])
+def test_bench_bad_size_or_warmup_is_validation_error(flag, value, monkeypatch, capsys):
+    """Refused before a model is built, naming the flag."""
+    def build_model(cfg):
+        raise AssertionError("model built before the flags were checked")
+
+    monkeypatch.setattr(pctrack.cli, "build_model", build_model)
+    assert main(["bench", "--profile", "tiny", flag, value]) == 1
+    assert flag in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["ras", "hybrid"])
 def test_template_relation_sampler_is_validation_error(name, capsys):
     rc = main(["bench", "--profile", "tiny", "--set", f"template_sampler={name}",
@@ -389,7 +406,9 @@ def test_ablation_flag_changes_model(small_dataset, tmp_path):
 
 
 def test_oracle_suite_is_green():
-    assert all(r.ok for r in oracle_suite())
+    results = oracle_suite()
+    assert all(r.ok for r in results)
+    assert "set-abstraction" in [r.name for r in results]
 
 
 @pytest.mark.parametrize("failing", [False, True])

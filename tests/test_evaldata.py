@@ -178,6 +178,18 @@ def test_synth_is_deterministic():
     assert not np.array_equal(a.frames[0][0].coords, c.frames[0][0].coords)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n_clutter", -5), ("n_distractors", -2), ("noise_sigma", -1.0),
+    ("noise_sigma", float("nan")), ("clutter_span", 0.0), ("clutter_span", float("inf")),
+    ("size", (4.0, 0.0, 1.6)), ("size", (4.0, 2.0)), ("start_center", (0.0, float("nan"), 0.8)),
+    ("velocity", (float("inf"), 0.0, 0.0)), ("start_yaw", float("nan")),
+    ("yaw_rate", float("inf")),
+])
+def test_synth_spec_rejects_bad_field_by_name(field, value):
+    with pytest.raises(ValueError, match=field):
+        SynthSpec(**{field: value})
+
+
 def test_synth_box_always_contains_object_points():
     spec = SynthSpec(n_frames=5, points_on_object=60, noise_sigma=0.05,
                      velocity=(0.7, 0.3, 0.0), yaw_rate=0.2, n_clutter=80)

@@ -11,6 +11,7 @@ from pctrack.numeric import (
     Linear,
     MLP,
     Param,
+    add_rows_at,
     bce_loss_backward,
     bce_loss_forward,
     grad_check,
@@ -206,6 +207,19 @@ def test_jagged_layout_orders_rows_longest_first_stably():
     np.testing.assert_array_equal(rowpos, [0, 1, 2, 3, 4, 0, 1, 2, 3, 0, 1])
     np.testing.assert_array_equal(src[:5], idx[[2, 4, 0, 3, 5], 0])
     np.testing.assert_array_equal(src[9:], idx[[2, 4], 2])
+
+
+@pytest.mark.parametrize("n_rows,n_targets", [(3248, 900), (500, 7), (1, 1), (0, 4)])
+def test_add_rows_at_equals_np_add_at_bitwise(n_rows, n_targets):
+    """Rank-by-rank adds sum each target in the order of ``np.add.at``: the
+    same bits, also for targets hit many times and for signed zeros."""
+    rng = np.random.default_rng(n_rows)
+    d = rng.normal(scale=100.0, size=(n_rows, 64)).astype(np.float32)
+    d[::5, 3] = -0.0
+    rows = rng.integers(0, n_targets, size=n_rows)
+    want = np.zeros((n_targets, 64), dtype=np.float32)
+    np.add.at(want, rows, d)
+    np.testing.assert_array_equal(bits(add_rows_at(d, rows, n_targets)), bits(want))
 
 
 # ---------------------------------------------------------------- softmax
