@@ -346,8 +346,17 @@ def oracle_suite() -> list[CheckResult]:
     cloud = np.vstack([1e5 + rng.uniform(-1, 1, size=(300, 3)),
                        queries + 0.4 * u / np.linalg.norm(u, axis=1, keepdims=True)])
     ball_ok &= ball_query_matches(queries, cloud, 0.4, 16)
+    # The level-1 shape of a dense crop in float32, 512 centroids in 4000
+    # points plus 200 on their spheres, so the pair skip on slabs runs.
+    dense = np.random.default_rng(43)
+    cloud = dense.uniform((-3.0, -1.5, -1.0), (3.0, 1.5, 1.0), size=(4000, 3))
+    queries = cloud[dense.choice(4000, 512, replace=False)] + dense.normal(0.0, 0.05, (512, 3))
+    u = dense.normal(size=(200, 3))
+    cloud = np.vstack([cloud, queries[:200] + 0.3 * u / np.linalg.norm(u, axis=1, keepdims=True)])
+    ball_ok &= ball_query_matches(queries.astype(np.float32), cloud.astype(np.float32), 0.3, 32)
     results.append(CheckResult("ball-query",
-                               "21 fixtures vs every pair's direct distance", ball_ok))
+                               "21 fixtures and a 512 x 4200 dense crop on slabs vs every "
+                               "pair's direct distance", ball_ok))
 
     # Crops up to 1e3 m from the origin, BN with random running statistics
     # and gammas of both signs.

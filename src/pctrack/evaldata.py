@@ -80,8 +80,13 @@ def build_tracklets(scenes, min_points: int = 10, min_len: int = 3) -> list[Trac
     ``scenes`` is an ordered list of (PointCloud, annotations) where each
     annotation is a dict with object_id, label and box. Frames whose box
     holds fewer than ``min_points`` points are removed (splitting the run);
-    runs shorter than ``min_len`` frames are dropped entirely.
+    runs shorter than ``min_len`` frames are dropped entirely. ``min_len``
+    must be at least 1 and ``min_points`` at least 0.
     """
+    if not min_len >= 1:
+        raise ValueError(f"min_len must be an integer >= 1, got {min_len}")
+    if not min_points >= 0:
+        raise ValueError(f"min_points must be an integer >= 0, got {min_points}")
     per_object: dict[str, dict[int, tuple[Box3D, str]]] = {}
     labels: dict[str, str] = {}
     for frame_idx, (cloud, annotations) in enumerate(scenes):

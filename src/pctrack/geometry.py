@@ -273,6 +273,11 @@ _BLOCK_BYTES = 1 << 20
 _U32 = 2.0 ** -24
 _NORM_LIMIT = 2.0 ** 80
 
+# The ball query and the relation scores skip pairs on slabs from this many
+# query × cloud pairs on; below it the sort costs more than it saves.
+_SLAB_MIN_PAIRS = 1 << 20
+_BALL_SLAB_ROWS = 64  # queries per slab of the ball query
+
 
 def pair_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``Σ_c (a_ic - b_ic)²`` for each row pair of two (P, d) arrays.
@@ -320,16 +325,19 @@ def float32_filter(a: np.ndarray, b: np.ndarray, r2: float = 0.0):
     return a32, b32, an, bn, e
 
 
-def shifted_sq_dist_blocks(a: np.ndarray, b: np.ndarray, bn: np.ndarray):
-    """Yield ``(lo, hi, h)`` with ``h = |b|² - 2·a[lo:hi]·bᵀ``, block by block.
+def shifted_sq_dist_blocks(a: np.ndarray, b: np.ndarray, bn: np.ndarray, spans=None):
+    """Yield ``(lo, hi, h)`` with ``h = |b[c0:c1]|² - 2·a[lo:hi]·b[c0:c1]ᵀ``,
+    block by block.
 
-    ``h`` is the squared distance of each row of ``a`` to every row of ``b``
-    less the row's own ``|a|²``: the approximate side of ``float32_filter``,
-    whose row norms of ``b`` are ``bn``. Each block is one GEMM of ``[a, 1]``
-    against the row-major ``[-2bᵀ; |b|²]``, built once per call (the
-    inner-product form that FAISS uses), so no (M, N) matrix is ever built.
-    The arithmetic runs in ``a``'s dtype, which ``b`` and ``bn`` must share,
-    and a block holds ``_BLOCK_BYTES`` of it. ``h`` is a reused buffer, valid
+    ``h`` is the squared distance of each row of ``a`` to rows of ``b`` less
+    the row's own ``|a|²``: the approximate side of ``float32_filter``, whose
+    row norms of ``b`` are ``bn``. Each block is one GEMM of ``[a, 1]``
+    against columns of the row-major ``[-2bᵀ; |b|²]``, built once per call
+    (the inner-product form that FAISS uses), so no (M, N) matrix is ever
+    built. ``spans`` lists the blocks as ``(lo, hi, c0, c1)``; by default
+    they take the rows of ``a`` in order, ``_BLOCK_BYTES`` of arithmetic at a
+    time, each against every row of ``b``. The arithmetic runs in ``a``'s
+    dtype, which ``b`` and ``bn`` must share. ``h`` is a reused buffer, valid
     only until the next block is drawn.
     """
     m, d = a.shape
@@ -337,14 +345,19 @@ def shifted_sq_dist_blocks(a: np.ndarray, b: np.ndarray, bn: np.ndarray):
     right = np.empty((d + 1, n), dtype=a.dtype)
     np.multiply(b.T, -2.0, out=right[:d])
     right[d] = bn
-    rows = min(m, max(1, _BLOCK_BYTES // (a.itemsize * max(n, 1))))
+    if spans is None:
+        rows = min(m, max(1, _BLOCK_BYTES // (a.itemsize * max(n, 1))))
+        spans = [(lo, min(lo + rows, m), 0, n) for lo in range(0, m, rows)]
+        size = rows * n
+    else:
+        rows = max(hi - lo for lo, hi, _, _ in spans)
+        size = max((hi - lo) * (c1 - c0) for lo, hi, c0, c1 in spans)
     left = np.ones((rows, d + 1), dtype=a.dtype)
-    buf = np.empty((rows, n), dtype=a.dtype)
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
+    buf = np.empty(size, dtype=a.dtype)
+    for lo, hi, c0, c1 in spans:
         left[: hi - lo, :d] = a[lo:hi]
-        h = buf[: hi - lo]
-        np.matmul(left[: hi - lo], right, out=h)
+        h = buf[: (hi - lo) * (c1 - c0)].reshape(hi - lo, c1 - c0)
+        np.matmul(left[: hi - lo], right[:, c0:c1], out=h)
         yield lo, hi, h
 
 
@@ -352,6 +365,48 @@ def float32_at_least(x: np.ndarray) -> np.ndarray:
     """``x`` rounded to float32 and one step up: at least ``x``, at most two
     float32 steps above it."""
     return np.nextafter(x.astype(np.float32), np.float32(np.inf))
+
+
+def _slab_windows(q: np.ndarray, c: np.ndarray, c32: np.ndarray, r2: float):
+    """``(spans, order, corder)`` of the ball query's pair skip: the queries
+    and the cloud sorted along the cloud's axis of largest extent, and
+    ``shifted_sq_dist_blocks`` spans of ``_BALL_SLAB_ROWS`` sorted queries,
+    each against the one run of the sorted cloud that can hold their
+    neighbours.
+
+    Let ``y`` and ``x`` be the float64 values of the queries' and the
+    cloud's coordinates on that axis, sorted, and ``u = 2^-53``. A slab of
+    queries ``y_lo..y_hi`` takes the cloud points with ``x`` in
+    ``[fl(y_lo - w), fl(y_hi + w)]``, where
+    ``w = fl(fl(ρ·(1 + 2^-50)) + 2^-500)`` and ``ρ = fl(sqrt(r2))``.
+
+    No neighbour is outside its slab's window. ``pair_sq_dist`` rounds the
+    axis difference ``δ = fl(y_i - x_j)`` and adds non-negative terms that
+    include ``δ²``, rounded or fused; rounding is monotone, so its result is
+    at least ``fl(δ²) >= δ²·(1 - u) - 2^-1075``. A neighbour has that result
+    at most ``r2``, so ``|δ| <= sqrt((r2 + 2^-1074) / (1 - u))``, and as a
+    subtraction that underflows is exact,
+    ``|y_i - x_j| <= |δ| / (1 - u) <= ρ·(1 + 3u) + 2^-536``. The products
+    and the sum that make ``w`` round by at most ``u`` each, so
+    ``w >= ρ·(1 + 5u) + 2^-501`` bounds that. Then the exact window ends
+    satisfy ``y_lo - w <= x_j <= y_hi + w``, and since ``x_j`` is a float64
+    number, the rounded ends keep it inside: ``fl`` is monotone and leaves
+    ``x_j`` as it is. The float32 filter's bound holds pair by pair, so
+    within the windows it keeps every neighbour too.
+    """
+    cols = np.ascontiguousarray(c32.T)  # (n, 3) reductions along axis 0 are slow
+    axis = int(np.argmax(cols.max(axis=1) - cols.min(axis=1)))
+    order, corder = np.argsort(q[:, axis]), np.argsort(c[:, axis])
+    y = q[order, axis].astype(np.float64)
+    x = c[corder, axis].astype(np.float64)
+    w = math.sqrt(r2) * (1.0 + 2.0 ** -50) + 2.0 ** -500
+    m = q.shape[0]
+    slabs = -(-m // _BALL_SLAB_ROWS)
+    ends = (np.arange(slabs + 1) * m) // slabs
+    c0 = np.searchsorted(x, y[ends[:-1]] - w)
+    c1 = np.searchsorted(x, y[ends[1:] - 1] + w, side="right")
+    spans = list(zip(ends[:-1].tolist(), ends[1:].tolist(), c0.tolist(), c1.tolist()))
+    return spans, order, corder
 
 
 def ball_query_padded(
@@ -369,6 +424,14 @@ def ball_query_padded(
     By ``float32_filter``'s bound (``r²`` in ``R``), a pair within the radius
     has ``g_ij <= r² - S_i + E``; only such pairs, that limit rounded up to
     float32, get their exact distance, and out of range every pair does.
+
+    From ``_SLAB_MIN_PAIRS`` pairs on (and in range), the filter meets only
+    the pairs on overlapping coordinate slabs: both sides are sorted along
+    the cloud's longest axis, and each slab of queries is filtered against
+    the run of cloud points within the radius of it on that axis
+    (``_slab_windows``, which proves that no neighbour is skipped). The hits
+    are then sorted back to row-major order, so ``idx`` and ``counts`` are
+    the same bits either way.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -383,17 +446,33 @@ def ball_query_padded(
         return np.zeros((0, min(max_k, n)), dtype=np.int64), np.zeros(0, dtype=np.int64)
     r2 = radius * radius
     q32, c32, qn, cn, e = float32_filter(q, c, r2)
+    spans = order = None
     if e == np.inf:  # out of range: a filter on zeros keeps every pair
         q32, c32 = np.zeros_like(q32), np.zeros_like(c32)
         qn, cn = np.zeros_like(qn), np.zeros_like(cn)
+    elif m * n >= _SLAB_MIN_PAIRS:
+        spans, order, corder = _slab_windows(q, c, c32, r2)
+        q32, qn = q32.take(order, axis=0), qn[order]
+        c32, cn = c32.take(corder, axis=0), cn[corder]
     limit = float32_at_least(np.subtract(r2 + e, qn, dtype=np.float64))[:, None]
     near = []
-    for lo, hi, h in shifted_sq_dist_blocks(q32, c32, cn):
-        # Candidates come out row-major, and the exact test keeps that order.
-        flat = np.flatnonzero(h <= limit[lo:hi]) + lo * n
-        r, j = np.divmod(flat, n)
-        near.append(flat[pair_sq_dist(q.take(r, axis=0), c.take(j, axis=0)) <= r2])
-    rows, cols = np.divmod(np.concatenate(near), n)
+    for b, (lo, hi, h) in enumerate(shifted_sq_dist_blocks(q32, c32, cn, spans)):
+        # Candidates come out row-major within a block, as keys i·n + j of
+        # the (sorted) rows and columns.
+        flat = np.flatnonzero(h <= limit[lo:hi])
+        if spans is None:
+            flat += lo * n
+        else:
+            r, j = np.divmod(flat, h.shape[1])
+            flat = (r + lo) * n + (j + spans[b][2])
+        near.append(flat)
+    r, j = np.divmod(np.concatenate(near), n)
+    if order is not None:
+        r, j = order[r], corder[j]
+    hit = pair_sq_dist(q.take(r, axis=0), c.take(j, axis=0)) <= r2
+    rows, cols = r[hit], j[hit]
+    if order is not None:
+        rows, cols = np.divmod(np.sort(rows * n + cols), n)
     # Each row's hits are in ascending column order; a hit's rank is its
     # offset from the row start.
     hits = np.bincount(rows, minlength=m)

@@ -271,15 +271,18 @@ def jagged_max_forward(z: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 def jagged_max_winners(z: np.ndarray, top: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Layer of each channel's first maximum, as ``(x == top).argmax(axis=1)``.
 
-    Scans the layers from last to first, so the earliest equal layer wins.
-    A channel that no layer equals (a NaN max) keeps layer 0, as argmax of
-    an all-False mask does.
+    Scans the layers from last to first, layer 0 included, so the earliest
+    equal layer wins. A channel that no layer equals (a NaN max) keeps
+    layer 0, as argmax of an all-False mask does. Each layer's comparison
+    goes into one reused bool buffer.
     """
     winners = np.zeros(top.shape, dtype=np.intp)
+    equal = np.empty(top.shape, dtype=bool)
     ends = np.cumsum(sizes)
     for r in range(len(sizes) - 1, -1, -1):
         s = sizes[r]
-        np.copyto(winners[:s], r, where=z[ends[r] - s:ends[r]] == top[:s])
+        np.equal(z[ends[r] - s:ends[r]], top[:s], out=equal[:s])
+        np.putmask(winners[:s], equal[:s], r)
     return winners
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .geometry import (
     _BLOCK_BYTES,
+    _SLAB_MIN_PAIRS,
     _U32,
     float32_filter,
     pair_sq_dist,
@@ -210,6 +211,37 @@ def _box_sq_dist(s32: np.ndarray, t32: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", gap, gap)
 
 
+def _template_rows(t32: np.ndarray, tn: np.ndarray) -> np.ndarray:
+    """The row-major ``[-2t, |t|²]``: one GEMM of it against a search row's
+    ``[s, 1]`` gives the row's ``g`` against every template row."""
+    n, d = t32.shape
+    right = np.empty((n, d + 1), dtype=np.float32)
+    np.multiply(t32, -2.0, out=right[:, :d])
+    right[:, d] = tn
+    return right
+
+
+def _one_block_pairs(s32, t32, sn, tn, e, k):
+    """``_row_pairs`` for a call whose product fits one block. It is taken
+    transposed, one column per search row, so each row's minimum is a
+    column-wise ``np.minimum.reduce``, as in ``_slab_pairs``; rows that
+    cannot rank get a band below every ``g`` and so take no pair."""
+    m, d = s32.shape
+    left = np.ones((m, d + 1), dtype=np.float32)
+    left[:, :d] = s32
+    h = np.matmul(_template_rows(t32, tn), left.T)
+    h_min = np.minimum.reduce(h, axis=0)
+    band = h_min + 2.0 * e
+    kept = m
+    if k < m:
+        a = h_min + sn
+        can_rank = a <= np.partition(a, k - 1)[k - 1] + 2.0 * e
+        band[~can_rank] = -np.inf
+        kept = np.count_nonzero(can_rank)
+    cols, rows = np.divmod(np.flatnonzero(h <= band), m)
+    return rows, cols, cols.shape[0] > kept
+
+
 def _row_pairs(s32, t32, sn, tn, e, k, bound, cut):
     """``(rows, cols, several)``: the pairs to score exactly, every template
     row against the rows that can rank, with ``several`` set when some row
@@ -218,6 +250,8 @@ def _row_pairs(s32, t32, sn, tn, e, k, bound, cut):
     are filtered in the order of that bound, and the filter stops at the
     first row whose bound exceeds ``cut``."""
     m, n = s32.shape[0], t32.shape[0]
+    if m * n * s32.itemsize <= _BLOCK_BYTES:
+        return _one_block_pairs(s32, t32, sn, tn, e, k)
     order = None
     if bound is not None:
         order = np.argsort(bound)
@@ -254,10 +288,10 @@ def _row_pairs(s32, t32, sn, tn, e, k, bound, cut):
     return rows, cols, several
 
 
-# The pair skip of ``_slab_pairs`` runs from this many search × template
-# pairs on, and only when its windows hold at most this share of the pairs
-# of the rows that can rank: otherwise the row skip alone is cheaper.
-_SLAB_MIN_PAIRS = 1 << 20
+# The pair skip of ``_slab_pairs`` runs from ``_SLAB_MIN_PAIRS`` search ×
+# template pairs on, and only when its windows hold at most this share of
+# the pairs of the rows that can rank: otherwise the row skip alone is
+# cheaper.
 _SLAB_MAX_SHARE = 0.5
 _SLAB_ROWS = 128  # search rows per slab
 _SLAB_BAND_ROWS = 64  # rows per GEMM of the band pass
@@ -317,9 +351,7 @@ def _slab_pairs(s32, t32, sn, tn, e, k, bound):
     ys, yt = s32 @ axis, t32 @ axis
     torder = np.argsort(yt)
     zt = yt[torder].astype(np.float64)
-    right = np.empty((n, d + 1), dtype=np.float32)
-    np.multiply(t32.take(torder, axis=0), -2.0, out=right[:, :d])
-    right[:, d] = tn[torder]
+    right = _template_rows(t32.take(torder, axis=0), tn[torder])
 
     # τ from representatives, over at least 4k rows nearest the box.
     near = np.flatnonzero(bound <= np.partition(bound, min(m, 4 * k) - 1)[min(m, 4 * k) - 1])

@@ -312,6 +312,15 @@ def test_build_dataset_rejects_when_everything_filtered(tmp_path):
                  "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("flags,name", [(["--min-len", "0"], "min_len"),
+                                        (["--min-points", "-5"], "min_points")])
+def test_build_dataset_bad_filter_rule_writes_nothing(tmp_path, capsys, flags, name):
+    out = tmp_path / "o"
+    assert main(["build-dataset", "--scenes", str(_write_scenes(tmp_path, "car")),
+                 "--out", str(out), *flags]) == 1
+    assert name in capsys.readouterr().err and not out.exists()
+
+
 def test_bench_json_output(capsys):
     rc = main(["bench", "--profile", "tiny", "--template", "48", "--search", "64",
                "--repeats", "2", "--warmup", "1", "--json"])

@@ -132,6 +132,16 @@ def test_boundary_lengths_are_strict():
     assert len(build_tracklets(scenes, min_points=n_inside + 1)) == 0
 
 
+@pytest.mark.parametrize("kwargs,name", [({"min_len": 0}, "min_len"),
+                                         ({"min_len": -3}, "min_len"),
+                                         ({"min_points": -5}, "min_points")])
+def test_bad_filter_rules_are_refused_by_name(kwargs, name):
+    # A sparse first frame used to flush an empty run under min_len=0.
+    scenes = [_scene(i, [("a", "car", (0.0, 0.0, 0.0), i > 0)]) for i in range(3)]
+    with pytest.raises(ValueError, match=name):
+        build_tracklets(scenes, **kwargs)
+
+
 def test_objects_are_separated_and_sorted():
     scenes = [_scene(i, [("b", "truck", (5.0, 5.0, 0.0), True),
                          ("a", "car", (0.0, 0.0, 0.0), True)]) for i in range(3)]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import pctrack.geometry as geometry
 from pctrack.geometry import (
     Box3D,
     PointCloud,
@@ -517,6 +518,103 @@ def test_ball_query_matches_direct_oracle_on_lattice_and_sphere_shells():
         for dtype in (np.float64, np.float32):
             assert ball_query_matches((offset + queries).astype(dtype), cloud.astype(dtype),
                                       radius, cloud.shape[0])
+
+
+@pytest.fixture
+def filter_calls(monkeypatch):
+    """One ``[took_slabs, pairs]`` entry per ball query: whether its float32
+    filter ran on slab windows, and how many pairs it met."""
+    calls = []
+    inner = geometry.shifted_sq_dist_blocks
+
+    def spy(a, b, bn, spans=None):
+        calls.append([spans is not None, 0])
+        for lo, hi, h in inner(a, b, bn, spans):
+            calls[-1][1] += h.size
+            yield lo, hi, h
+
+    monkeypatch.setattr(geometry, "shifted_sq_dist_blocks", spy)
+    return calls
+
+
+def _slab_fixture(rng, n, radius, ties):
+    """512 queries and n cloud points spread along x (at least 2^20 pairs),
+    and the rows of 64 queries that have cloud points exactly ``radius``
+    from them along x, 2^-40 beyond that, and on their spheres.
+    12 queries have no neighbour at all. With ``ties`` the coordinates lie on a 2^-6 grid, so
+    many points share their x and the points at ``±radius`` are exact."""
+    m = 512
+    assert m * n >= geometry._SLAB_MIN_PAIRS
+    lo, hi = np.array([-4.0, -1.5, -1.0]), np.array([4.0, 1.5, 1.0])
+    cloud = rng.uniform(lo, hi, size=(n - 5 * 64, 3))
+    queries = np.vstack([cloud[rng.choice(cloud.shape[0], m - 12, replace=False)]
+                         + rng.normal(scale=0.05, size=(m - 12, 3)),
+                         rng.uniform(lo, hi, size=(12, 3)) + [0.0, 40.0, 0.0]])
+    if ties:
+        cloud, queries = np.round(cloud * 64) / 64, np.round(queries * 64) / 64
+    rows = rng.choice(m - 12, 64, replace=False)
+    edge = queries[rows]
+    step = np.array([radius, 0.0, 0.0])
+    u = rng.normal(size=edge.shape)
+    cloud = np.vstack([cloud, edge + step, edge - step, edge + step + [2.0 ** -40, 0.0, 0.0],
+                       edge + radius * u / np.linalg.norm(u, axis=1, keepdims=True),
+                       edge + [0.0, 0.0, radius]])
+    return queries, cloud, rows
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("offset", [0.0, 1e5])
+@pytest.mark.parametrize("ties", [False, True])
+def test_ball_query_slab_path_matches_direct_oracle(filter_calls, dtype, offset, ties):
+    """Large calls filter only the pairs on overlapping x slabs. Against
+    every pair's direct distance: ties along the sort axis, points at the
+    radius along it (the window edge), points on the query spheres, empty
+    rows and max_k caps, near the origin and 1e5 m from it."""
+    radius = 0.25 if ties else 0.3
+    queries, cloud, _ = _slab_fixture(np.random.default_rng(85), 2048 if ties else 3000,
+                                      radius, ties)
+    queries, cloud = (offset + queries).astype(dtype), (offset + cloud).astype(dtype)
+    for max_k in (4, 32, cloud.shape[0]):
+        assert ball_query_matches(queries, cloud, radius, max_k)
+    idx, counts = ball_query_padded(queries, cloud, radius, cloud.shape[0])
+    assert (counts[-12:] == 0).all() and (idx[-12:] == 0).all()
+    assert counts.max() > 4  # max_k = 4 caps rows
+    assert [took for took, _ in filter_calls] == [True] * len(filter_calls)
+
+
+def test_ball_query_slab_path_keeps_exact_edge_hits(filter_calls):
+    """On a 2^-6 grid the points at ±r along x are exactly r away and are
+    neighbours; the points 2^-40 further out are not."""
+    radius = 0.25
+    queries, cloud, rows = _slab_fixture(np.random.default_rng(86), 2048, radius, ties=True)
+    idx, counts = ball_query_padded(queries, cloud, radius, cloud.shape[0])
+    n = cloud.shape[0] - 5 * 64
+    for i, row in enumerate(rows):
+        hits = set(idx[row, :counts[row]].tolist())
+        assert {n + i, n + 64 + i} <= hits and n + 128 + i not in hits
+    assert filter_calls[0][0]
+
+
+def test_ball_query_small_calls_keep_input_order(filter_calls):
+    """Below 2^20 pairs the filter runs on row blocks in input order, each
+    against every column: no sort, no slab."""
+    rng = np.random.default_rng(87)
+    cloud = rng.uniform(-2, 2, size=(2047, 3))
+    assert 512 * 2047 < geometry._SLAB_MIN_PAIRS
+    assert ball_query_matches(cloud[:512], cloud, 0.3, 32)
+    assert filter_calls == [[False, 512 * 2047]]
+
+
+def test_ball_query_filter_skips_pairs_at_level1_size(filter_calls):
+    """Work guard at the level-1 shape of a dense crop: 512 centroids in
+    4000 points of an elongated crop, r = 0.3. The float32 filter meets at
+    most a third of the pairs, so a silent full scan fails."""
+    rng = np.random.default_rng(88)
+    cloud = rng.uniform([-3.0, -1.5, -1.0], [3.0, 1.5, 1.0], size=(4000, 3)).astype(np.float32)
+    queries = cloud[rng.choice(4000, 512, replace=False)]
+    assert ball_query_matches(queries, cloud, 0.3, 32)
+    took, pairs = filter_calls[0]
+    assert took and 0 < pairs <= 512 * 4000 // 3
 
 
 def test_float32_at_least_rounds_up_by_at_most_two_steps():

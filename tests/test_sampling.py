@@ -456,6 +456,31 @@ class _CountingNumpy:
         return np.matmul(a, b, **kwargs)
 
 
+@pytest.mark.parametrize("m,n,d,k", [(512, 256, 64, 128), (256, 128, 128, 64),
+                                     (128, 100, 32, 64), (100, 37, 16, 50)])
+def test_one_block_filter_matches_row_blocks_bitwise(monkeypatch, m, n, d, k):
+    """The level-2/3 and training shapes, which fit one block: the
+    transposed product with column-wise minima selects the same rows, with
+    the same top-k score bits, as the row-block filter, and as the oracle.
+    Ties: duplicated search rows and search rows equal to template rows."""
+    template, search = _relu_embedding(np.random.default_rng(92), n, m, d, n // 4, np.float32)
+    search[m // 2:m // 2 + m // 8] = search[: m // 8]
+    taken = []
+    inner = sampling._one_block_pairs
+    monkeypatch.setattr(sampling, "_one_block_pairs",
+                        lambda *args: taken.append(True) or inner(*args))
+    for kk in (1, k, m - 1, None):
+        one = ras_scores(search, template, kk)
+        _assert_ranks_like_oracle(search, template, kk)
+        with monkeypatch.context() as blocks:
+            blocks.setattr(sampling, "_BLOCK_BYTES", 8 * n * 4)
+            rows = ras_scores(search, template, kk)
+        top = np.argsort(one, kind="stable")[: m if kk is None else kk]
+        np.testing.assert_array_equal(np.argsort(rows, kind="stable")[: top.shape[0]], top)
+        np.testing.assert_array_equal(rows[top].view(np.int64), one[top].view(np.int64))
+    assert len(taken) == 8
+
+
 def test_relation_filter_skips_pairs_at_level1_size(monkeypatch):
     """Work guard at the level-1 shape of a dense crop, 4000 x 1600 x 32,
     k = 256, on features with principal axes: the float32 filter evaluates
