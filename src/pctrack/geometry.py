@@ -264,8 +264,8 @@ def box_iou_3d(a: Box3D, b: Box3D) -> float:
 # Pairwise squared distances and fixed-radius neighbor queries.
 # ---------------------------------------------------------------------------
 
-# Bytes per row block of the distance stages: small enough that a block's
-# GEMM output stays in cache until its consumer has read it.
+# Bytes per row block of the ball query's filter: small enough that a
+# block's GEMM output stays in cache until its consumer has read it.
 _BLOCK_BYTES = 1 << 20
 
 # Float32 unit round-off, and the largest squared row norm the float32

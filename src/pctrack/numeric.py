@@ -500,6 +500,33 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], config: list[str]):
         f.write(bytes(body))
 
 
+def _checkpoint_manifest(path, blob: bytes) -> dict:
+    """The JSON manifest of a checkpoint: an object whose ``config`` is a list
+    of strings and whose ``arrays`` is a list of objects, each with its own
+    string ``name`` and a ``shape`` of non-negative integers."""
+    try:
+        manifest = json.loads(blob.decode("utf-8"))
+    except ValueError:
+        raise ValueError(f"{path}: checkpoint manifest is not JSON") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: checkpoint manifest is not a JSON object")
+    config = manifest.get("config")
+    if not isinstance(config, list) or not all(isinstance(line, str) for line in config):
+        raise ValueError(f"{path}: checkpoint manifest 'config' is not a list of strings")
+    arrays = manifest.get("arrays")
+    if not isinstance(arrays, list):
+        raise ValueError(f"{path}: checkpoint manifest 'arrays' is not a list")
+    for i, entry in enumerate(arrays):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(x) is int and x >= 0 for x in entry["shape"])):
+            raise ValueError(f"{path}: checkpoint manifest 'arrays' entry {i} needs a "
+                             "string 'name' and a 'shape' list of non-negative integers")
+    if len({entry["name"] for entry in arrays}) < len(arrays):
+        raise ValueError(f"{path}: checkpoint manifest 'arrays' repeats a name")
+    return manifest
+
+
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], list[str]]:
     with open(path, "rb") as f:
         raw = f.read()
@@ -512,7 +539,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], list[str]]:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     (blob_len,) = struct.unpack_from("<I", raw, 8)
-    manifest = json.loads(raw[12:12 + blob_len].decode("utf-8"))
+    manifest = _checkpoint_manifest(path, raw[12:12 + blob_len])
     out: dict[str, np.ndarray] = {}
     offset = 12 + blob_len
     for entry in manifest["arrays"]:

@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    _BLOCK_BYTES,
-    _SLAB_MIN_PAIRS,
-    _U32,
-    float32_filter,
-    pair_sq_dist,
-    shifted_sq_dist_blocks,
-)
+from .geometry import _SLAB_MIN_PAIRS, _U32, float32_filter, pair_sq_dist
 
 
 @dataclass(frozen=True)
@@ -155,14 +148,14 @@ def ras_scores(search_feats: np.ndarray, template_feats: np.ndarray,
     at most ``a_i + E``, so ``τ``, the k-th smallest ``a_i + E``, bounds the
     k-th score from above, and a row whose score exceeds ``τ`` cannot rank.
     Within a row that can, only columns with ``g_ij <= min_j g_ij + 2E`` can
-    hold the minimum, and only those pairs are scored exactly. When the rows
-    span more than one block, the squared distance of a row to the
-    template's per-channel [min, max] box bounds its score from below (in
-    float32 it errs by at most ``(2d + 6)·u·R``), and rows whose box
-    distance exceeds ``τ + E`` are skipped; large calls also skip pairs
-    (``_slab_pairs``). Non-finite rows rank after all others. Inputs outside
-    the filter's range (``|x| > 2^40``, a non-finite template) are scored
-    against every template row.
+    hold the minimum, and only those pairs are scored exactly.
+
+    The input size alone picks the filter: below ``_SLAB_MIN_PAIRS`` search
+    × template pairs, one GEMM over every pair (``_one_block_pairs``); from
+    there on, only the pairs on overlapping slabs of the template's top
+    principal axis (``_slab_pairs``), for every k. Non-finite rows rank after
+    all others. Inputs outside the filter's range (``|x| > 2^40``, a
+    non-finite template) are scored against every template row.
     """
     s = np.asarray(search_feats)
     t = np.asarray(template_feats)
@@ -185,15 +178,10 @@ def ras_scores(search_feats: np.ndarray, template_feats: np.ndarray,
             rest = rest[~finite] if k > finite.sum() else rest[:0]
         v[rest] = _exhaustive_scores(s, t, rest)
         return v
-    pairs = bound = None
-    cut = np.inf
-    if k < m and m * n * s32.itemsize > _BLOCK_BYTES:
-        bound = _box_sq_dist(s32, t32)
-        if m * n >= _SLAB_MIN_PAIRS:
-            pairs, cut = _slab_pairs(s32, t32, sn, tn, e, k, bound)
-    if pairs is None:
-        pairs = _row_pairs(s32, t32, sn, tn, e, k, bound, cut)
-    rows, cols, several = pairs
+    if m * n >= _SLAB_MIN_PAIRS:
+        rows, cols, several = _slab_pairs(s32, t32, sn, tn, e, k)
+    else:
+        rows, cols, several = _one_block_pairs(s32, t32, sn, tn, e, k)
     d2 = pair_sq_dist(s.take(rows, axis=0), t.take(cols, axis=0))
     if several:
         np.minimum.at(v, rows, d2)
@@ -222,10 +210,13 @@ def _template_rows(t32: np.ndarray, tn: np.ndarray) -> np.ndarray:
 
 
 def _one_block_pairs(s32, t32, sn, tn, e, k):
-    """``_row_pairs`` for a call whose product fits one block. It is taken
-    transposed, one column per search row, so each row's minimum is a
-    column-wise ``np.minimum.reduce``, as in ``_slab_pairs``; rows that
-    cannot rank get a band below every ``g`` and so take no pair."""
+    """``(rows, cols, several)``: the pairs to score exactly, with
+    ``several`` set when some row has more than one. Every pair of the call
+    goes through one GEMM, taken transposed, one column per search row, so
+    each row's minimum is a column-wise ``np.minimum.reduce``, as in
+    ``_slab_pairs``; rows that cannot rank get a band below every ``g`` and
+    so take no pair. Below ``_SLAB_MIN_PAIRS`` pairs the product is under
+    4 MB."""
     m, d = s32.shape
     left = np.ones((m, d + 1), dtype=np.float32)
     left[:, :d] = s32
@@ -242,57 +233,6 @@ def _one_block_pairs(s32, t32, sn, tn, e, k):
     return rows, cols, cols.shape[0] > kept
 
 
-def _row_pairs(s32, t32, sn, tn, e, k, bound, cut):
-    """``(rows, cols, several)``: the pairs to score exactly, every template
-    row against the rows that can rank, with ``several`` set when some row
-    has more than one. ``cut`` is ``τ + E``, ``+inf`` until known, and
-    tightens as blocks are scored. With ``bound`` (``_box_sq_dist``), rows
-    are filtered in the order of that bound, and the filter stops at the
-    first row whose bound exceeds ``cut``."""
-    m, n = s32.shape[0], t32.shape[0]
-    if m * n * s32.itemsize <= _BLOCK_BYTES:
-        return _one_block_pairs(s32, t32, sn, tn, e, k)
-    order = None
-    if bound is not None:
-        order = np.argsort(bound)
-        bound, sn = bound[order], sn[order]
-        s32 = s32.take(order, axis=0)
-    a = np.empty(m, dtype=np.float32)
-    rows, cols = [], []
-    several = False  # some row has more than one column in its band
-    for lo, hi, h in shifted_sq_dist_blocks(s32, t32, tn):
-        h_min = h.min(axis=1)
-        keep = None
-        if k < m:
-            np.add(h_min, sn[lo:hi], out=a[lo:hi])
-            if hi >= k:
-                cut = min(cut, np.partition(a[:hi], k - 1)[k - 1] + 2.0 * e)
-            if cut < np.inf:
-                keep = (a[lo:hi] <= cut).nonzero()[0]
-                h, h_min = h[keep], h_min[keep]
-        r, c = np.divmod((h <= (h_min + 2.0 * e)[:, None]).ravel().nonzero()[0], n)
-        several = several or c.shape[0] > h.shape[0]
-        rows.append((r if keep is None else keep[r]) + lo)
-        cols.append(c)
-        if order is not None and hi < m and bound[hi] > cut:
-            break
-    if lo == 0:
-        rows, cols = rows[0], cols[0]
-    else:
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        if k < m:
-            hit = a[rows] <= cut  # rows kept before τ reached its final value
-            rows, cols = rows[hit], cols[hit]
-    if order is not None:
-        rows = order[rows]
-    return rows, cols, several
-
-
-# The pair skip of ``_slab_pairs`` runs from ``_SLAB_MIN_PAIRS`` search ×
-# template pairs on, and only when its windows hold at most this share of
-# the pairs of the rows that can rank: otherwise the row skip alone is
-# cheaper.
-_SLAB_MAX_SHARE = 0.5
 _SLAB_ROWS = 128  # search rows per slab
 _SLAB_BAND_ROWS = 64  # rows per GEMM of the band pass
 _SLAB_REPS = 32  # template rows whose scores give the first τ
@@ -318,10 +258,9 @@ def _principal_axis(t32: np.ndarray) -> np.ndarray:
     return (axis * (1.0 - 2.0 ** -20)).astype(np.float32)
 
 
-def _slab_pairs(s32, t32, sn, tn, e, k, bound):
-    """``((rows, cols, several), cut)`` as in ``_row_pairs``, found on slabs
-    of the template's top principal axis; ``(None, cut)`` when the slab
-    windows would hold more than ``_SLAB_MAX_SHARE`` of the pairs.
+def _slab_pairs(s32, t32, sn, tn, e, k):
+    """``(rows, cols, several)`` as in ``_one_block_pairs``, found on slabs
+    of the template's top principal axis.
 
     Both sides are projected on the axis ``p`` of ``_principal_axis``
     (``|p| < 1``), in float32, so ``y_i = s_i·p`` and ``z_j = t_j·p`` err by
@@ -332,13 +271,16 @@ def _slab_pairs(s32, t32, sn, tn, e, k, bound):
     exact squared distance above ``L``; the slack beyond ``5.02·u·R`` and
     ``ε`` covers the rounding of ``W`` and of the float64 window ends.
 
-    ``τ`` starts as the k-th smallest score bound against ``_SLAB_REPS``
-    template rows spread along the axis, over the rows closest to the box.
-    The rows whose box distance is within ``τ + E`` are sorted by ``y`` and
-    cut into slabs of ``_SLAB_ROWS``; a slab spanning ``[y_lo, y_hi]`` is
-    filtered against the template rows with ``z`` in
-    ``[y_lo - W, y_hi + W]`` for ``L = τ + 2E``, one contiguous slice of the
-    template sorted by ``z``, and ``τ`` tightens as slabs are scored. A row
+    The squared distance of a row to the template's per-channel [min, max]
+    box (``_box_sq_dist``) bounds its score from below; in float32 it errs
+    by at most ``(2d + 6)·u·R``. ``τ`` starts as the k-th smallest score
+    bound against ``_SLAB_REPS`` template rows spread along the axis, over
+    the rows closest to the box. Only the rows whose box distance is within
+    ``τ + E`` can rank. They are sorted by ``y`` and cut into slabs of
+    ``_SLAB_ROWS``; a slab spanning ``[y_lo, y_hi]`` is filtered against
+    the template rows with ``z`` in ``[y_lo - W, y_hi + W]`` for
+    ``L = τ + 2E``, one contiguous slice of the template sorted by ``z``,
+    and ``τ`` tightens as slabs are scored. A row
     whose bound passes the final ``τ + E`` has its nearest template row
     within ``τ + 2E``, so inside every window it met. The band pass then
     scores those rows against the window of the final ``τ``, in groups of
@@ -346,6 +288,7 @@ def _slab_pairs(s32, t32, sn, tn, e, k, bound):
     """
     m, d = s32.shape
     n = t32.shape[0]
+    bound = _box_sq_dist(s32, t32)
     big = float(sn.max()) + float(tn.max())
     axis = _principal_axis(t32)
     ys, yt = s32 @ axis, t32 @ axis
@@ -383,9 +326,6 @@ def _slab_pairs(s32, t32, sn, tn, e, k, bound):
         w = math.sqrt(cut + slack) + eps
         return np.searchsorted(zt, (y[lo_rows] - w, y[hi_rows] + w))
 
-    c0, c1 = window(ends[:-1], ends[1:] - 1, cut)
-    if int(np.diff(ends) @ (c1 - c0)) > _SLAB_MAX_SHARE * nl * n:
-        return None, cut
     left = np.ones((d + 1, _SLAB_ROWS), dtype=np.float32)
     buf = np.empty(0, dtype=np.float32)
 
@@ -422,7 +362,7 @@ def _slab_pairs(s32, t32, sn, tn, e, k, bound):
         several = several or c.shape[0] > r.shape[0]
         rows.append(order[r[i]])
         cols.append(torder[c + c0])
-    return (np.concatenate(rows), np.concatenate(cols), several), cut
+    return np.concatenate(rows), np.concatenate(cols), several
 
 
 def sample_ras(search_feats: np.ndarray, template_feats: np.ndarray, k: int) -> SampleSelection:

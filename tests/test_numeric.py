@@ -629,6 +629,35 @@ def test_every_truncated_or_bit_flipped_checkpoint_is_a_value_error(tmp_path):
             load_checkpoint(path)
 
 
+def test_checkpoint_with_a_malformed_manifest_is_a_value_error(tmp_path):
+    """Manifests rewritten under a recomputed CRC, each wrong in one field,
+    fail by path and name the manifest."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.zeros(3, dtype=np.float32)}, [])
+    raw = path.read_bytes()
+    (blob_len,) = struct.unpack_from("<I", raw, 8)
+    for manifest in [
+        '{"arrays": [{"name": "w", "shape": [3]}]}',
+        '[{"name": "w", "shape": [3]}]',
+        '{"config": [], "arrays": [{"shape": [3]}]}',
+        '{"config": [], "arrays": 5}',
+        '{"config": "seed=3", "arrays": [{"name": "w", "shape": [3]}]}',
+        '{"config": [3], "arrays": [{"name": "w", "shape": [3]}]}',
+        '{"config": [], "arrays": [["w", [3]]]}',
+        '{"config": [], "arrays": [{"name": 1, "shape": [3]}]}',
+        '{"config": [], "arrays": [{"name": "w", "shape": 3}]}',
+        '{"config": [], "arrays": [{"name": "w", "shape": [-1]}]}',
+        '{"config": [], "arrays": [{"name": "w", "shape": [1.5, 2]}]}',
+        '{"config": [], "arrays": [{"name": "w", "shape": [1]}, {"name": "w", "shape": [2]}]}',
+        '{"config": [], "arrays": [',
+    ]:
+        blob = manifest.encode("utf-8")
+        body = raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + blob_len:-4]
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        with pytest.raises(ValueError, match="model.ckpt: checkpoint manifest"):
+            load_checkpoint(path)
+
+
 def test_checkpoint_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"definitely not a checkpoint")

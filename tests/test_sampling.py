@@ -209,7 +209,10 @@ def test_ras_scores_rejects_width_mismatch():
         ras_scores(np.zeros((3, 2)), np.zeros((4, 3)))
 
 
-def test_ras_scores_match_full_matrix_reference_across_blocks():
+def test_ras_scores_match_full_matrix_reference_across_blocks(monkeypatch):
+    """3000 x 700 x 64 is past ``_SLAB_MIN_PAIRS``, so ``k=None`` (k = m)
+    runs on the slab filter."""
+    slab_calls = _spy_slab_pairs(monkeypatch)
     rng = np.random.default_rng(71)
     template = rng.normal(size=(700, 64))
     search = rng.normal(size=(3000, 64))
@@ -219,6 +222,7 @@ def test_ras_scores_match_full_matrix_reference_across_blocks():
     np.testing.assert_array_equal(v, reference_ras_scores(search, template))
     np.testing.assert_array_equal(v[::7], v[1::7])
     assert (v[::7] == 0.0).all()
+    assert slab_calls == [3000]
 
 
 def test_ras_order_matches_direct_difference_oracle_at_level1_size():
@@ -294,14 +298,15 @@ def test_ras_scores_match_direct_oracle_on_random_inputs():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_ras_scores_match_direct_oracle_across_blocks(dtype):
-    """Rows that span several blocks, so the box-ordered row skip runs."""
+    """Ties and zero scores at 900 x 420, a product of more than 1 MB that
+    is still below ``_SLAB_MIN_PAIRS`` and so runs as one block."""
     rng = np.random.default_rng(75)
     template = np.round(np.maximum(rng.normal(size=(420, 6)), 0.0), 1)
     search = np.round(np.maximum(rng.normal(size=(900, 6)), 0.0), 1)
     search[:40] = template[:40]
     template[200:260] = template[:60]
     search, template = search.astype(dtype), template.astype(dtype)
-    assert search.shape[0] * template.shape[0] * 4 > 1 << 20
+    assert 1 << 18 < search.shape[0] * template.shape[0] < sampling._SLAB_MIN_PAIRS
     for k in (1, 17, 64, 300, 899, 900):
         _assert_ranks_like_oracle(search, template, k)
 
@@ -338,16 +343,19 @@ def test_inputs_outside_the_filter_range_are_scored_in_full():
     assert np.isnan(_assert_ranks_like_oracle(search, template, 5)).all()
 
 
-def test_relation_scores_stay_sparse_at_level1_size():
+def test_relation_scores_stay_sparse_at_level1_size(monkeypatch):
     """Work guard at the level-1 shape of a dense crop: 4000 search rows, a
-    1600-row template, 32 channels, k = 256. Only rows that can rank are
-    scored; the others read +inf."""
+    1600-row template, 32 channels, k = 256, on isotropic features, where
+    the slab windows skip little. Only rows that can rank are scored; the
+    others read +inf."""
+    slab_calls = _spy_slab_pairs(monkeypatch)
     rng = np.random.default_rng(78)
     template = np.maximum(rng.normal(size=(1600, 32)), 0.0).astype(np.float32)
     search = np.maximum(rng.normal(size=(4000, 32)), 0.0).astype(np.float32)
     search[:90] = template[:90]
     v = _assert_ranks_like_oracle(search, template, 256)
     assert np.isfinite(v).sum() <= 512
+    assert slab_calls == [4000]
 
 
 def _relu_embedding(rng, n_template, n_search, width, shared, dtype=np.float64):
@@ -360,24 +368,25 @@ def _relu_embedding(rng, n_template, n_search, width, shared, dtype=np.float64):
     return tuple(np.maximum(p @ w + b, 0.0).astype(dtype) for p in (pts_t, pts_s))
 
 
-@pytest.fixture
-def slab_path(monkeypatch):
-    """Every call with k < m takes the pair skip on principal-axis slabs,
-    whatever its size and however little its windows skip. Yields one flag
-    per call: whether the slab filter ran to the end."""
-    monkeypatch.setattr(sampling, "_BLOCK_BYTES", 0)
-    monkeypatch.setattr(sampling, "_SLAB_MIN_PAIRS", 0)
-    monkeypatch.setattr(sampling, "_SLAB_MAX_SHARE", 1.0)
-    ran = []
+def _spy_slab_pairs(monkeypatch):
+    """The search row count of each ``_slab_pairs`` call, in call order."""
+    calls = []
     inner = sampling._slab_pairs
 
-    def spy(*args):
-        pairs, cut = inner(*args)
-        ran.append(pairs is not None)
-        return pairs, cut
+    def spy(s32, *args):
+        calls.append(s32.shape[0])
+        return inner(s32, *args)
 
     monkeypatch.setattr(sampling, "_slab_pairs", spy)
-    return ran
+    return calls
+
+
+@pytest.fixture
+def slab_path(monkeypatch):
+    """Every call takes the pair skip on principal-axis slabs, whatever its
+    size. Yields the search row count of each slab call."""
+    monkeypatch.setattr(sampling, "_SLAB_MIN_PAIRS", 0)
+    return _spy_slab_pairs(monkeypatch)
 
 
 def _slab_case(name, rng):
@@ -417,14 +426,16 @@ def test_slab_path_ranks_like_oracle(slab_path, name, dtype):
     template, search = template.astype(dtype), search.astype(dtype)
     want = np.sort(reference_ras_scores(search, template))
     tied = [k for k in range(1, want.shape[0]) if want[k - 1] == want[k]]
-    for k in {1, 17, 256, search.shape[0] - 1, *tied[:: max(1, len(tied) // 3)]}:
+    ks = {1, 17, 256, search.shape[0] - 1, *tied[:: max(1, len(tied) // 3)]}
+    for k in ks:
         _assert_ranks_like_oracle(search, template, k)
-    assert all(slab_path) and len(slab_path) >= 4
+    assert len(slab_path) == len(ks) >= 4
 
 
 def test_slab_path_matches_direct_oracle_on_random_inputs(slab_path):
     """The random fixtures of the one-block test, through the slab filter."""
     rng = np.random.default_rng(91)
+    calls = 0
     for case in range(60):
         m, n, d = int(rng.integers(2, 150)), int(rng.integers(1, 60)), int(rng.integers(1, 20))
         grid = [0.5, 0.1, 1e-3, 0.0][case % 4]
@@ -437,9 +448,11 @@ def test_slab_path_matches_direct_oracle_on_random_inputs(slab_path):
             search[: m // 3] = template[rng.integers(0, n, size=m // 3)]
         if case % 2:
             template, search = template.astype(np.float32), search.astype(np.float32)
-        for k in {1, int(rng.integers(1, m)), m - 1}:
+        ks = {1, int(rng.integers(1, m)), m - 1}
+        for k in ks:
             _assert_ranks_like_oracle(search, template, k)
-    assert all(slab_path)
+        calls += len(ks)
+    assert len(slab_path) == calls
 
 
 class _CountingNumpy:
@@ -459,10 +472,11 @@ class _CountingNumpy:
 @pytest.mark.parametrize("m,n,d,k", [(512, 256, 64, 128), (256, 128, 128, 64),
                                      (128, 100, 32, 64), (100, 37, 16, 50)])
 def test_one_block_filter_matches_row_blocks_bitwise(monkeypatch, m, n, d, k):
-    """The level-2/3 and training shapes, which fit one block: the
+    """The level-2/3 and training shapes, below ``_SLAB_MIN_PAIRS``: the one
     transposed product with column-wise minima selects the same rows, with
-    the same top-k score bits, as the row-block filter, and as the oracle.
-    Ties: duplicated search rows and search rows equal to template rows."""
+    the same top-k score bits, as the slab filter forced on (rows in slabs
+    of the principal axis), and as the oracle. Ties: duplicated search rows
+    and search rows equal to template rows."""
     template, search = _relu_embedding(np.random.default_rng(92), n, m, d, n // 4, np.float32)
     search[m // 2:m // 2 + m // 8] = search[: m // 8]
     taken = []
@@ -472,12 +486,12 @@ def test_one_block_filter_matches_row_blocks_bitwise(monkeypatch, m, n, d, k):
     for kk in (1, k, m - 1, None):
         one = ras_scores(search, template, kk)
         _assert_ranks_like_oracle(search, template, kk)
-        with monkeypatch.context() as blocks:
-            blocks.setattr(sampling, "_BLOCK_BYTES", 8 * n * 4)
-            rows = ras_scores(search, template, kk)
+        with monkeypatch.context() as slabs:
+            slabs.setattr(sampling, "_SLAB_MIN_PAIRS", 0)
+            slab = ras_scores(search, template, kk)
         top = np.argsort(one, kind="stable")[: m if kk is None else kk]
-        np.testing.assert_array_equal(np.argsort(rows, kind="stable")[: top.shape[0]], top)
-        np.testing.assert_array_equal(rows[top].view(np.int64), one[top].view(np.int64))
+        np.testing.assert_array_equal(np.argsort(slab, kind="stable")[: top.shape[0]], top)
+        np.testing.assert_array_equal(slab[top].view(np.int64), one[top].view(np.int64))
     assert len(taken) == 8
 
 
@@ -487,14 +501,6 @@ def test_relation_filter_skips_pairs_at_level1_size(monkeypatch):
     at most a fifth of the pairs, so a silent full scan fails."""
     counter = _CountingNumpy()
     monkeypatch.setattr(sampling, "np", counter)
-    blocks = sampling.shifted_sq_dist_blocks
-
-    def counted_blocks(*args):
-        for lo, hi, h in blocks(*args):
-            counter.pairs += h.size
-            yield lo, hi, h
-
-    monkeypatch.setattr(sampling, "shifted_sq_dist_blocks", counted_blocks)
     template, search = _relu_embedding(np.random.default_rng(79), 1600, 4000, 32, 90, np.float32)
     v = _assert_ranks_like_oracle(search, template, 256)
     assert (v[:90] == 0.0).all()
