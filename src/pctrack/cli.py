@@ -416,7 +416,8 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, NotADirectoryError, KeyError) as e:
+    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # noqa: BLE001 - boundary of the executable

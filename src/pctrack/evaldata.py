@@ -377,9 +377,32 @@ def save_tracklet(directory, tracklet: Tracklet):
         _write_cloud_bin(directory / f"frame_{i:04d}.bin", cloud.coords)
 
 
+def _tracklet_meta(path: Path) -> dict:
+    """A tracklet's ``meta.json``: an object whose ``boxes`` is a list of
+    lists of 7 finite numbers, ``n_frames`` an integer, and ``label`` and
+    ``object_id`` strings."""
+    try:
+        meta = json.loads(path.read_text())
+    except ValueError:
+        raise ValueError(f"{path}: not JSON") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    boxes = meta.get("boxes")
+    if not (isinstance(boxes, list) and all(
+            isinstance(b, list) and len(b) == 7
+            and all(type(x) in (int, float) and math.isfinite(x) for x in b) for b in boxes)):
+        raise ValueError(f"{path}: 'boxes' is not a list of lists of 7 finite numbers")
+    if type(meta.get("n_frames")) is not int:
+        raise ValueError(f"{path}: 'n_frames' is not an integer")
+    for key in ("label", "object_id"):
+        if not isinstance(meta.get(key), str):
+            raise ValueError(f"{path}: '{key}' is not a string")
+    return meta
+
+
 def load_tracklet(directory) -> Tracklet:
     directory = Path(directory)
-    meta = json.loads((directory / "meta.json").read_text())
+    meta = _tracklet_meta(directory / "meta.json")
     frames = []
     for i, box7 in enumerate(meta["boxes"]):
         coords = _read_cloud_bin(directory / f"frame_{i:04d}.bin")
@@ -406,7 +429,8 @@ def load_dataset(directory) -> list[Tracklet]:
 
 
 def load_annotated_scenes(jsonl_path):
-    """JSON-lines scene reader: each line names a cloud file and its annotations."""
+    """JSON-lines scene reader: each line is an object whose string ``cloud``
+    names a cloud file and whose ``annotations`` is a list."""
     jsonl_path = Path(jsonl_path)
     base = jsonl_path.parent
     scenes = []
@@ -417,9 +441,15 @@ def load_annotated_scenes(jsonl_path):
                 continue
             try:
                 record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError("not a JSON object")
+                if not isinstance(record.get("cloud"), str):
+                    raise ValueError("'cloud' is not a string")
+                annotations = record.get("annotations")
+                if not isinstance(annotations, list):
+                    raise ValueError("'annotations' is not a list")
                 coords = _read_cloud_bin(base / record["cloud"])
-                annotations = record["annotations"]
-            except (KeyError, json.JSONDecodeError, OSError, ValueError) as e:
+            except (OSError, ValueError) as e:
                 raise ValueError(f"{jsonl_path}:{lineno}: bad scene record: {e}") from e
             scenes.append((PointCloud(coords), annotations))
     return scenes

@@ -367,12 +367,24 @@ def float32_at_least(x: np.ndarray) -> np.ndarray:
     return np.nextafter(x.astype(np.float32), np.float32(np.inf))
 
 
+def slab_spans(y: np.ndarray, x: np.ndarray, rows: int, w: float) -> list:
+    """``(lo, hi, c0, c1)`` for each slab of at most ``rows`` of the sorted
+    keys ``y``: ``y[lo:hi]`` is the slab and ``x[c0:c1]`` the sorted keys
+    ``x`` in ``[fl(y_lo - w), fl(y_hi + w)]``, closed at both ends. The
+    slabs cover ``y`` in order, their sizes at most 1 apart."""
+    m = y.shape[0]
+    slabs = -(-m // rows)
+    ends = (np.arange(slabs + 1) * m) // slabs
+    c0 = np.searchsorted(x, y[ends[:-1]] - w)
+    c1 = np.searchsorted(x, y[ends[1:] - 1] + w, side="right")
+    return list(zip(ends[:-1].tolist(), ends[1:].tolist(), c0.tolist(), c1.tolist()))
+
+
 def _slab_windows(q: np.ndarray, c: np.ndarray, c32: np.ndarray, r2: float):
     """``(spans, order, corder)`` of the ball query's pair skip: the queries
-    and the cloud sorted along the cloud's axis of largest extent, and
-    ``shifted_sq_dist_blocks`` spans of ``_BALL_SLAB_ROWS`` sorted queries,
-    each against the one run of the sorted cloud that can hold their
-    neighbours.
+    and the cloud sorted along the cloud's axis of largest extent, and the
+    ``slab_spans`` of ``_BALL_SLAB_ROWS`` sorted queries, each against the
+    one run of the sorted cloud that can hold their neighbours.
 
     Let ``y`` and ``x`` be the float64 values of the queries' and the
     cloud's coordinates on that axis, sorted, and ``u = 2^-53``. A slab of
@@ -400,13 +412,7 @@ def _slab_windows(q: np.ndarray, c: np.ndarray, c32: np.ndarray, r2: float):
     y = q[order, axis].astype(np.float64)
     x = c[corder, axis].astype(np.float64)
     w = math.sqrt(r2) * (1.0 + 2.0 ** -50) + 2.0 ** -500
-    m = q.shape[0]
-    slabs = -(-m // _BALL_SLAB_ROWS)
-    ends = (np.arange(slabs + 1) * m) // slabs
-    c0 = np.searchsorted(x, y[ends[:-1]] - w)
-    c1 = np.searchsorted(x, y[ends[1:] - 1] + w, side="right")
-    spans = list(zip(ends[:-1].tolist(), ends[1:].tolist(), c0.tolist(), c1.tolist()))
-    return spans, order, corder
+    return slab_spans(y, x, _BALL_SLAB_ROWS, w), order, corder
 
 
 def ball_query_padded(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _SLAB_MIN_PAIRS, _U32, float32_filter, pair_sq_dist
+from .geometry import _SLAB_MIN_PAIRS, _U32, float32_filter, pair_sq_dist, slab_spans
 
 
 @dataclass(frozen=True)
@@ -235,7 +235,7 @@ def _one_block_pairs(s32, t32, sn, tn, e, k):
 
 _SLAB_ROWS = 128  # search rows per slab
 _SLAB_BAND_ROWS = 64  # rows per GEMM of the band pass
-_SLAB_REPS = 32  # template rows whose scores give the first τ
+_SLAB_REPS = 64  # template rows whose scores give the first τ
 _POWER_STEPS = 4
 
 
@@ -258,6 +258,23 @@ def _principal_axis(t32: np.ndarray) -> np.ndarray:
     return (axis * (1.0 - 2.0 ** -20)).astype(np.float32)
 
 
+def _shifted_blocks(right, rows32, spans):
+    """Yield ``(lo, hi, c0, h)`` for each span ``(lo, hi, c0, c1)`` with
+    ``c0 < c1``: ``h`` is the ``g`` of ``rows32[lo:hi]`` against rows c0:c1
+    of ``right`` (``_template_rows``), transposed, one column per search
+    row. ``h`` is a reused buffer, valid only until the next block is
+    drawn."""
+    d = rows32.shape[1]
+    left = np.ones((d + 1, max(hi - lo for lo, hi, _, _ in spans)), dtype=np.float32)
+    buf = np.empty(max((hi - lo) * (c1 - c0) for lo, hi, c0, c1 in spans), dtype=np.float32)
+    for lo, hi, c0, c1 in spans:
+        if c0 == c1:
+            continue
+        np.copyto(left[:d, : hi - lo], rows32[lo:hi].T)
+        h = buf[: (c1 - c0) * (hi - lo)].reshape(c1 - c0, hi - lo)
+        yield lo, hi, c0, np.matmul(right[c0:c1], left[:, : hi - lo], out=h)
+
+
 def _slab_pairs(s32, t32, sn, tn, e, k):
     """``(rows, cols, several)`` as in ``_one_block_pairs``, found on slabs
     of the template's top principal axis.
@@ -277,14 +294,16 @@ def _slab_pairs(s32, t32, sn, tn, e, k):
     bound against ``_SLAB_REPS`` template rows spread along the axis, over
     the rows closest to the box. Only the rows whose box distance is within
     ``τ + E`` can rank. They are sorted by ``y`` and cut into slabs of
-    ``_SLAB_ROWS``; a slab spanning ``[y_lo, y_hi]`` is filtered against
-    the template rows with ``z`` in ``[y_lo - W, y_hi + W]`` for
-    ``L = τ + 2E``, one contiguous slice of the template sorted by ``z``,
-    and ``τ`` tightens as slabs are scored. A row
-    whose bound passes the final ``τ + E`` has its nearest template row
-    within ``τ + 2E``, so inside every window it met. The band pass then
-    scores those rows against the window of the final ``τ``, in groups of
-    ``_SLAB_BAND_ROWS`` along the axis.
+    ``_SLAB_ROWS`` (``geometry.slab_spans``); a slab spanning
+    ``[y_lo, y_hi]`` is filtered against the template rows with ``z`` in
+    ``[y_lo - W, y_hi + W]``, one contiguous slice of the template sorted
+    by ``z``. Every window of this first pass is fixed before it starts,
+    from the representatives' ``τ`` (``L = τ + 2E``). ``τ`` is then updated
+    once, from the row minima the pass found. A row whose bound passes the
+    final ``τ + E`` has its nearest template row within ``τ + 2E``, so
+    inside its window. The band pass then scores those rows against the
+    windows of the final ``τ``, in slabs of ``_SLAB_BAND_ROWS`` along the
+    axis.
     """
     m, d = s32.shape
     n = t32.shape[0]
@@ -299,68 +318,34 @@ def _slab_pairs(s32, t32, sn, tn, e, k):
     # τ from representatives, over at least 4k rows nearest the box.
     near = np.flatnonzero(bound <= np.partition(bound, min(m, 4 * k) - 1)[min(m, 4 * k) - 1])
     reps = right[(np.arange(_SLAB_REPS) * n + n // 2) // _SLAB_REPS]
-    rep_t, rep_n = np.ascontiguousarray(reps[:, :d]), reps[:, d:]
+    u = np.matmul(np.ascontiguousarray(reps[:, :d]), s32.take(near, axis=0).T)
+    u += reps[:, d:]
     a = np.full(m, np.inf, dtype=np.float32)
-    for lo in range(0, near.shape[0], 512):
-        r = near[lo:lo + 512]
-        u = np.matmul(rep_t, s32.take(r, axis=0).T)
-        u += rep_n
-        a[r] = u.min(axis=0) + sn[r]
-    kth = float(np.partition(a, k - 1)[k - 1])
-    cut = kth + 2.0 * e
+    a[near] = u.min(axis=0) + sn[near]
+    cut = float(np.partition(a, k - 1)[k - 1]) + 2.0 * e
 
     live = np.flatnonzero(bound <= cut)
     order = live[np.argsort(ys[live])]
-    nl = order.shape[0]
     y = ys[order].astype(np.float64)
-    a, sn = a[order], sn[order]
-    slabs = -(-nl // _SLAB_ROWS)
-    ends = (np.arange(slabs + 1) * nl) // slabs
+    rows32, a, sn = s32.take(order, axis=0), a[order], sn[order]
     slack = 6.0 * _U32 * big + e
     eps = 1.1 * (d + 1) * _U32 * math.sqrt(2.0 * big)
 
-    def window(lo_rows, hi_rows, cut):
-        """Template rows ``c0:c1`` in reach of the rows at slab positions
-        ``lo_rows..hi_rows`` (``W`` for ``L = cut + E``); one at exactly
-        ``W`` is out of reach thanks to the slack in ``W``."""
-        w = math.sqrt(cut + slack) + eps
-        return np.searchsorted(zt, (y[lo_rows] - w, y[hi_rows] + w))
-
-    left = np.ones((d + 1, _SLAB_ROWS), dtype=np.float32)
-    buf = np.empty(0, dtype=np.float32)
-
-    def shifted(rows, r, c0, c1):
-        """``h`` of the ``r`` slab positions ``rows`` against template rows
-        c0:c1, transposed: one column per search row, in a reused buffer."""
-        nonlocal buf
-        if buf.shape[0] < (c1 - c0) * r:
-            buf = np.empty((c1 - c0) * r, dtype=np.float32)
-        np.copyto(left[:d, :r], s32.take(order[rows], axis=0).T)
-        h = buf[: (c1 - c0) * r].reshape(c1 - c0, r)
-        return np.matmul(right[c0:c1], left[:, :r], out=h)
-
-    for b in np.argsort(np.minimum.reduceat(a, ends[:-1]), kind="stable").tolist():
-        lo, hi = int(ends[b]), int(ends[b + 1])
-        c0, c1 = window(lo, hi - 1, cut)
-        if c0 == c1:
-            continue
-        ab = shifted(slice(lo, hi), hi - lo, c0, c1).min(axis=0)
+    spans = slab_spans(y, zt, _SLAB_ROWS, math.sqrt(cut + slack) + eps)
+    for lo, hi, _, h in _shifted_blocks(right, rows32, spans):
+        ab = h.min(axis=0)
         ab += sn[lo:hi]
         np.minimum(a[lo:hi], ab, out=a[lo:hi])
-        if ab.min() < kth:
-            kth = float(np.partition(a, k - 1)[k - 1])
-            cut = min(cut, kth + 2.0 * e)
+    cut = min(cut, float(np.partition(a, k - 1)[k - 1]) + 2.0 * e)
 
     hit = np.flatnonzero(a <= cut)
+    spans = slab_spans(y[hit], zt, _SLAB_BAND_ROWS, math.sqrt(cut + slack) + eps)
     rows, cols = [], []
     several = False
-    for lo in range(0, hit.shape[0], _SLAB_BAND_ROWS):
-        r = hit[lo:lo + _SLAB_BAND_ROWS]
-        c0, c1 = window(int(r[0]), int(r[-1]), cut)
-        h = shifted(r, r.shape[0], c0, c1)
-        c, i = np.divmod(np.flatnonzero(h <= h.min(axis=0) + 2.0 * e), r.shape[0])
-        several = several or c.shape[0] > r.shape[0]
-        rows.append(order[r[i]])
+    for lo, hi, c0, h in _shifted_blocks(right, rows32.take(hit, axis=0), spans):
+        c, i = np.divmod(np.flatnonzero(h <= h.min(axis=0) + 2.0 * e), hi - lo)
+        several = several or c.shape[0] > hi - lo
+        rows.append(order[hit[i + lo]])
         cols.append(torder[c + c0])
     return np.concatenate(rows), np.concatenate(cols), several
 

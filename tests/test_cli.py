@@ -321,6 +321,60 @@ def test_build_dataset_bad_filter_rule_writes_nothing(tmp_path, capsys, flags, n
     assert name in capsys.readouterr().err and not out.exists()
 
 
+def _meta_case(edit):
+    """``eval --oracle`` on a copy of the dataset whose first ``meta.json``
+    holds ``edit(meta)``."""
+    def case(tmp_path, dataset):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        path = data / "tracklet_000" / "meta.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        return ["eval", "--data", str(data), "--oracle"], str(path), None
+    return case
+
+
+def _scene_case(edit):
+    """``build-dataset`` on a scene index whose second record is ``edit(record)``."""
+    def case(tmp_path, dataset):
+        index = _write_scenes(tmp_path, "car")
+        lines = index.read_text().splitlines()
+        lines[1] = json.dumps(edit(json.loads(lines[1])))
+        index.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        return ["build-dataset", "--scenes", str(index), "--out", str(out)], f"{index}:2", out
+    return case
+
+
+def _checkpoint_directory(tmp_path, dataset):
+    return ["eval", "--data", str(dataset), "--ckpt", str(tmp_path)], str(tmp_path), None
+
+
+_BAD_RECORDS = {
+    "meta-list": _meta_case(lambda m: [m]),
+    "meta-boxes-null": _meta_case(lambda m: {**m, "boxes": None}),
+    "meta-box-null": _meta_case(lambda m: {**m, "boxes": [None, *m["boxes"][1:]]}),
+    "meta-box-8": _meta_case(lambda m: {**m, "boxes": [m["boxes"][0] + [0.0], *m["boxes"][1:]]}),
+    "meta-no-label": _meta_case(lambda m: {k: v for k, v in m.items() if k != "label"}),
+    "meta-n-frames-string": _meta_case(lambda m: {**m, "n_frames": str(m["n_frames"])}),
+    "meta-object-id-int": _meta_case(lambda m: {**m, "object_id": 3}),
+    "scene-list": _scene_case(lambda r: [r]),
+    "scene-annotations-int": _scene_case(lambda r: {**r, "annotations": 1}),
+    "scene-cloud-int": _scene_case(lambda r: {**r, "cloud": 1}),
+    "checkpoint-directory": _checkpoint_directory,
+}
+
+
+@pytest.mark.parametrize("name", _BAD_RECORDS)
+def test_bad_record_is_validation_error_naming_the_file(name, small_dataset, tmp_path, capsys):
+    """A malformed tracklet ``meta.json`` or scene record, or a directory
+    given as a checkpoint, exits 1 with the file on stderr, and
+    ``build-dataset`` writes nothing."""
+    argv, named, out = _BAD_RECORDS[name](tmp_path, small_dataset)
+    assert main(argv) == 1
+    assert named in capsys.readouterr().err
+    assert out is None or not out.exists()
+
+
 def test_bench_json_output(capsys):
     rc = main(["bench", "--profile", "tiny", "--template", "48", "--search", "64",
                "--repeats", "2", "--warmup", "1", "--json"])

@@ -18,6 +18,7 @@ from pctrack.geometry import (
     from_box_frame,
     points_in_box,
     shifted_sq_dist_blocks,
+    slab_spans,
     to_box_frame,
     wrap_angle,
 )
@@ -593,6 +594,31 @@ def test_ball_query_slab_path_keeps_exact_edge_hits(filter_calls):
         hits = set(idx[row, :counts[row]].tolist())
         assert {n + i, n + 64 + i} <= hits and n + 128 + i not in hits
     assert filter_calls[0][0]
+
+
+def test_slab_spans_cut_balanced_slabs_with_closed_windows():
+    """``slab_spans`` cuts the sorted keys ``y`` into slabs of at most
+    ``rows``, sizes at most 1 apart, and gives each the run of sorted ``x``
+    in ``[fl(y_lo - w), fl(y_hi + w)]``, both ends included."""
+    y, w = np.array([0.1, 0.2, 0.7]), 0.3
+    lo_end, hi_end = 0.1 - w, 0.7 + w
+    x = np.array([np.nextafter(lo_end, -np.inf), lo_end, 0.5, hi_end,
+                  np.nextafter(hi_end, np.inf)])
+    assert slab_spans(y, x, 8, w) == [(0, 3, 1, 4)]
+    assert slab_spans(np.array([10.0, 11.0]), np.array([0.0, 1.0, 2.0]), 8, w) == [(0, 2, 3, 3)]
+    assert slab_spans(np.array([2.5]), np.array([0.0, 5.0]), 8, 1.0) == [(0, 1, 1, 1)]
+
+    rng = np.random.default_rng(90)
+    y, x = np.sort(rng.uniform(-5, 5, size=1000)), np.sort(rng.uniform(-6, 6, size=3000))
+    for rows in (7, 64, 999, 1000, 1001):
+        spans = slab_spans(y, x, rows, w)
+        sizes = [hi - lo for lo, hi, _, _ in spans]
+        assert [lo for lo, _, _, _ in spans] == [0, *np.cumsum(sizes)[:-1].tolist()]
+        assert sum(sizes) == 1000 and max(sizes) <= rows and max(sizes) - min(sizes) <= 1
+        assert len(spans) == -(-1000 // rows)
+        for lo, hi, c0, c1 in spans:
+            inside = (x >= y[lo] - w) & (x <= y[hi - 1] + w)
+            assert np.flatnonzero(inside).tolist() == list(range(c0, c1))
 
 
 def test_ball_query_small_calls_keep_input_order(filter_calls):
