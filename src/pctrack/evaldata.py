@@ -360,7 +360,10 @@ def _read_cloud_bin(path: Path) -> np.ndarray:
     if len(raw) != expected:
         raise ValueError(f"{path}: expected {expected} bytes for {n} points, "
                          f"got {len(raw)}")
-    return np.frombuffer(raw, dtype="<f4", count=3 * n, offset=4).reshape(n, 3).astype(np.float64)
+    coords = np.frombuffer(raw, dtype="<f4", count=3 * n, offset=4).reshape(n, 3)
+    if not np.isfinite(coords).all():
+        raise ValueError(f"{path}: point coordinates must be finite")
+    return coords.astype(np.float64)
 
 
 def save_tracklet(directory, tracklet: Tracklet):
@@ -377,10 +380,17 @@ def save_tracklet(directory, tracklet: Tracklet):
         _write_cloud_bin(directory / f"frame_{i:04d}.bin", cloud.coords)
 
 
+def _is_box7(box) -> bool:
+    """A JSON box: a list of 7 finite numbers whose three sizes are positive."""
+    return (isinstance(box, list) and len(box) == 7
+            and all(type(x) in (int, float) and math.isfinite(x) for x in box)
+            and min(box[3:6]) > 0)
+
+
 def _tracklet_meta(path: Path) -> dict:
     """A tracklet's ``meta.json``: an object whose ``boxes`` is a list of
-    lists of 7 finite numbers, ``n_frames`` an integer, and ``label`` and
-    ``object_id`` strings."""
+    boxes of 7 finite numbers with positive sizes, ``n_frames`` their
+    count, and ``label`` and ``object_id`` strings."""
     try:
         meta = json.loads(path.read_text())
     except ValueError:
@@ -388,12 +398,17 @@ def _tracklet_meta(path: Path) -> dict:
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: not a JSON object")
     boxes = meta.get("boxes")
-    if not (isinstance(boxes, list) and all(
-            isinstance(b, list) and len(b) == 7
-            and all(type(x) in (int, float) and math.isfinite(x) for x in b) for b in boxes)):
-        raise ValueError(f"{path}: 'boxes' is not a list of lists of 7 finite numbers")
+    if not isinstance(boxes, list):
+        raise ValueError(f"{path}: 'boxes' is not a list")
+    for i, box in enumerate(boxes):
+        if not _is_box7(box):
+            raise ValueError(
+                f"{path}: 'boxes[{i}]' is not 7 finite numbers with positive sizes")
     if type(meta.get("n_frames")) is not int:
         raise ValueError(f"{path}: 'n_frames' is not an integer")
+    if meta["n_frames"] != len(boxes):
+        raise ValueError(f"{path}: frame count mismatch: 'n_frames' is {meta['n_frames']}, "
+                         f"'boxes' holds {len(boxes)}")
     for key in ("label", "object_id"):
         if not isinstance(meta.get(key), str):
             raise ValueError(f"{path}: '{key}' is not a string")
@@ -407,8 +422,6 @@ def load_tracklet(directory) -> Tracklet:
     for i, box7 in enumerate(meta["boxes"]):
         coords = _read_cloud_bin(directory / f"frame_{i:04d}.bin")
         frames.append((PointCloud(coords), Box3D.from_array7(box7)))
-    if len(frames) != meta["n_frames"]:
-        raise ValueError(f"{directory}: frame count mismatch")
     return Tracklet(object_id=meta["object_id"], label=meta["label"], frames=frames)
 
 
@@ -428,9 +441,23 @@ def load_dataset(directory) -> list[Tracklet]:
     return [load_tracklet(d) for d in subdirs]
 
 
+def _check_annotation(ann, index: int):
+    """A scene annotation: an object with string ``object_id`` and ``label``
+    and a ``box`` of 7 finite numbers with positive sizes."""
+    if not isinstance(ann, dict):
+        raise ValueError(f"annotation {index} is not a JSON object")
+    for key in ("object_id", "label"):
+        if not isinstance(ann.get(key), str):
+            raise ValueError(f"annotation {index}: '{key}' is not a string")
+    if not _is_box7(ann.get("box")):
+        raise ValueError(
+            f"annotation {index}: 'box' is not 7 finite numbers with positive sizes")
+
+
 def load_annotated_scenes(jsonl_path):
     """JSON-lines scene reader: each line is an object whose string ``cloud``
-    names a cloud file and whose ``annotations`` is a list."""
+    names a cloud file and whose ``annotations`` is a list of annotation
+    objects (``_check_annotation``)."""
     jsonl_path = Path(jsonl_path)
     base = jsonl_path.parent
     scenes = []
@@ -448,6 +475,8 @@ def load_annotated_scenes(jsonl_path):
                 annotations = record.get("annotations")
                 if not isinstance(annotations, list):
                     raise ValueError("'annotations' is not a list")
+                for index, ann in enumerate(annotations):
+                    _check_annotation(ann, index)
                 coords = _read_cloud_bin(base / record["cloud"])
             except (OSError, ValueError) as e:
                 raise ValueError(f"{jsonl_path}:{lineno}: bad scene record: {e}") from e

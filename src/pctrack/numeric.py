@@ -400,41 +400,89 @@ def mse_loss_masked_backward(cache, scale: float = 1.0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# Elements per pass of the Adam update: its two scratch arrays hold one
+# chunk each, so the update allocates nothing the size of the model.
+ADAM_CHUNK = 8192
+
+
 class Adam:
-    """Standard Adam with bias correction over an explicit parameter list."""
+    """Standard Adam with bias correction over an explicit parameter list.
+
+    Construction packs the parameters: every value is copied into one flat
+    array and every gradient into another, and ``p.value`` and ``p.grad``
+    are rebound to views of their slices, with the same shapes in C order.
+    ``m`` and ``v`` are flat arrays of the same length. The finiteness
+    check, the update, ``zero_grad`` and ``average_grad`` therefore run over
+    the whole model in a fixed number of array operations. Code that reads
+    ``p.value`` or ``p.grad`` on each call sees the views; an array taken
+    from a parameter before packing is no longer its storage. The last
+    optimizer built over a parameter owns that storage: an earlier one no
+    longer moves it. All parameters must share one dtype.
+    """
 
     def __init__(self, params: Iterable[Param], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
+        dtypes = sorted({str(p.value.dtype) for p in self.params})
+        if len(dtypes) > 1:
+            raise ValueError(f"Adam needs parameters of one dtype, got {dtypes}")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        self._ends = np.cumsum([p.value.size for p in self.params], dtype=np.intp)
+        size = int(self._ends[-1]) if self.params else 0
+        dtype = dtypes[0] if dtypes else np.float32
+        self.value = np.empty(size, dtype=dtype)
+        self.grad = np.empty(size, dtype=dtype)
+        for p, end in zip(self.params, self._ends):
+            view = slice(end - p.value.size, end)
+            self.value[view] = p.value.reshape(-1)
+            self.grad[view] = p.grad.reshape(-1)
+            p.value = self.value[view].reshape(p.value.shape)
+            p.grad = self.grad[view].reshape(p.grad.shape)
+        self.m = np.zeros_like(self.value)
+        self.v = np.zeros_like(self.value)
+        self._scratch = np.empty((2, min(size, ADAM_CHUNK)), dtype=dtype)
 
     def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
+        self.grad.fill(0.0)
+
+    def average_grad(self, count: int):
+        """Divides every gradient by ``count``, the samples summed into it."""
+        self.grad /= count
 
     def step(self, lr: float | None = None):
+        """One update. A non-finite gradient raises ``FloatingPointError``
+        naming the first parameter that holds one, and nothing moves."""
+        finite = np.isfinite(self.grad)
+        if not finite.all():
+            first = int(np.searchsorted(self._ends, np.argmin(finite), side="right"))
+            raise FloatingPointError(f"non-finite gradient in {self.params[first].name}")
         if lr is None:
             lr = self.lr
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            if not np.isfinite(g).all():
-                raise FloatingPointError(f"non-finite gradient in {p.name}")
+        # m = m·b1 + (1−b1)·g, v = v·b2 + ((1−b2)·g)·g and
+        # value −= (lr·(m/bias1)) / (sqrt(v/bias2) + eps), each element through
+        # the same operations and Python-float scalars as one parameter at a
+        # time would take, so chunking moves no bit.
+        for lo in range(0, self.value.size, ADAM_CHUNK):
+            hi = lo + ADAM_CHUNK
+            g, m, v = self.grad[lo:hi], self.m[lo:hi], self.v[lo:hi]
+            a, b = self._scratch[:, :g.size]
             m *= b1
-            m += (1.0 - b1) * g
+            m += np.multiply(g, 1.0 - b1, out=a)
             v *= b2
-            v += (1.0 - b2) * g * g
-            update = lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-            p.value -= update.astype(p.value.dtype, copy=False)
+            np.multiply(g, 1.0 - b2, out=a)
+            v += np.multiply(a, g, out=a)
+            np.sqrt(np.divide(v, bias2, out=a), out=a)
+            a += self.eps
+            np.multiply(np.divide(m, bias1, out=b), lr, out=b)
+            self.value[lo:hi] -= np.divide(b, a, out=b)
 
 
 def lr_at_epoch(lr0: float, divisor: float, step_epochs: int, epoch: int) -> float:

@@ -212,8 +212,7 @@ def train(tracklets, model, cfg, progress=None):
                 used += 1
             if used == 0:
                 continue
-            for p in model.params():
-                p.grad /= used
+            opt.average_grad(used)
             opt.step(lr=lr)
             n_samples += used
         row = {"epoch": epoch, "lr": lr}

@@ -1,6 +1,8 @@
 import csv
 import json
+import math
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -345,6 +347,11 @@ def _scene_case(edit):
     return case
 
 
+def _annotation_case(edit):
+    """``build-dataset`` with the second record's annotation ``edit(annotation)``."""
+    return _scene_case(lambda r: {**r, "annotations": [edit(r["annotations"][0])]})
+
+
 def _checkpoint_directory(tmp_path, dataset):
     return ["eval", "--data", str(dataset), "--ckpt", str(tmp_path)], str(tmp_path), None
 
@@ -357,9 +364,16 @@ _BAD_RECORDS = {
     "meta-no-label": _meta_case(lambda m: {k: v for k, v in m.items() if k != "label"}),
     "meta-n-frames-string": _meta_case(lambda m: {**m, "n_frames": str(m["n_frames"])}),
     "meta-object-id-int": _meta_case(lambda m: {**m, "object_id": 3}),
+    "meta-box-size-negative": _meta_case(
+        lambda m: {**m, "boxes": [[*m["boxes"][0][:3], -1.0, *m["boxes"][0][4:]],
+                                  *m["boxes"][1:]]}),
+    "meta-box-dropped": _meta_case(lambda m: {**m, "boxes": m["boxes"][:-1]}),
     "scene-list": _scene_case(lambda r: [r]),
     "scene-annotations-int": _scene_case(lambda r: {**r, "annotations": 1}),
     "scene-cloud-int": _scene_case(lambda r: {**r, "cloud": 1}),
+    "scene-box-nan": _annotation_case(lambda a: {**a, "box": [math.nan, *a["box"][1:]]}),
+    "scene-box-6": _annotation_case(lambda a: {**a, "box": a["box"][:6]}),
+    "scene-no-label": _annotation_case(lambda a: {k: v for k, v in a.items() if k != "label"}),
     "checkpoint-directory": _checkpoint_directory,
 }
 
@@ -373,6 +387,88 @@ def test_bad_record_is_validation_error_naming_the_file(name, small_dataset, tmp
     assert main(argv) == 1
     assert named in capsys.readouterr().err
     assert out is None or not out.exists()
+
+
+_FUZZ_CASES = [
+    *[(kind, mutation) for mutation in ("drop-key", "change-type", "change-length", "nan",
+                                        "non-positive-size") for kind in ("meta", "scene")],
+    *[(kind, mutation) for mutation in ("truncate", "change-length", "nan")
+      for kind in ("frame-bin", "scene-bin")],
+]
+
+
+def _fuzz_record(rng, objects, box, mutation):
+    """Applies ``mutation`` in place to one of ``objects`` (JSON objects whose
+    every key is required) or to ``box`` (a list of 7 numbers)."""
+    obj = objects[rng.integers(len(objects))]
+    key = str(rng.choice(sorted(obj)))
+    if mutation == "drop-key":
+        del obj[key]
+    elif mutation == "change-type":
+        value = obj[key]
+        others = [o for o in (None, True, {"v": value}, [value], str(value))
+                  if type(o) is not type(value)]
+        obj[key] = others[rng.integers(len(others))]
+    elif mutation == "change-length":
+        if rng.integers(2):
+            box.append(1.0)
+        else:
+            del box[rng.integers(7)]
+    elif mutation == "nan":
+        box[rng.integers(7)] = math.nan
+    else:
+        box[3 + rng.integers(3)] = -float(rng.choice([0.0, 1.5]))
+
+
+def _fuzz_bin(rng, raw: bytes, mutation) -> bytes:
+    """A cloud file (count header, float32 xyz rows) with ``mutation`` applied."""
+    if mutation == "truncate":
+        return raw[:rng.integers(len(raw))]
+    if mutation == "change-length":
+        (n,) = struct.unpack_from("<I", raw)
+        return struct.pack("<I", n + int(rng.choice([-1, 1]))) + raw[4:]
+    at = 4 + 4 * int(rng.integers((len(raw) - 4) // 4))
+    return raw[:at] + struct.pack("<f", math.nan) + raw[at + 4:]
+
+
+@pytest.mark.parametrize("kind,mutation", _FUZZ_CASES)
+def test_seeded_record_fuzz_exits_1_naming_the_file(kind, mutation, small_dataset,
+                                                    tmp_path, capsys):
+    """One seeded mutation of a tracklet ``meta.json``, a scene record or a
+    cloud file, read by ``eval --oracle`` or ``build-dataset``: exit 1, the
+    file on stderr, no output directory."""
+    rng = np.random.default_rng([7, _FUZZ_CASES.index((kind, mutation))])
+    out = tmp_path / "out"
+    if kind in ("meta", "frame-bin"):
+        data = tmp_path / "ds"
+        shutil.copytree(small_dataset, data)
+        argv = ["eval", "--data", str(data), "--oracle", "--out", str(out)]
+        tracklet = data / f"tracklet_{rng.integers(2):03d}"
+        path = tracklet / ("meta.json" if kind == "meta" else f"frame_{rng.integers(4):04d}.bin")
+        named = str(path)
+    else:
+        index = _write_scenes(tmp_path, "car")
+        argv = ["build-dataset", "--scenes", str(index), "--out", str(out)]
+        line = int(rng.integers(4))
+        path = index if kind == "scene" else tmp_path / f"scan{line}.bin"
+        named = f"{index}:{line + 1}"
+    if kind == "meta":
+        meta = json.loads(path.read_text())
+        _fuzz_record(rng, [meta], meta["boxes"][rng.integers(len(meta["boxes"]))], mutation)
+        path.write_text(json.dumps(meta))
+    elif kind == "scene":
+        lines = index.read_text().splitlines()
+        record = json.loads(lines[line])
+        ann = record["annotations"][0]
+        _fuzz_record(rng, [record, ann], ann["box"], mutation)
+        lines[line] = json.dumps(record)
+        index.write_text("\n".join(lines) + "\n")
+    else:
+        path.write_bytes(_fuzz_bin(rng, path.read_bytes(), mutation))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert named in err and (kind != "scene-bin" or str(path) in err)
+    assert not out.exists()
 
 
 def test_bench_json_output(capsys):

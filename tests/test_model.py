@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import pctrack.backbone
-from pctrack.checks import tiny_config
+import pctrack.checks
+from pctrack.checks import full_model_gradient_error, tiny_config
 from pctrack.config import RunConfig, apply_ablation, build_model, config_for_profile
 from pctrack.model import ModelOutput, TrackerModel
-from pctrack.numeric import load_checkpoint, save_checkpoint
+from pctrack.numeric import Adam, load_checkpoint, save_checkpoint
 
 from helpers import desk_crops
 
@@ -215,6 +216,27 @@ def test_checkpoint_carries_its_config(tmp_path):
     out_b, _ = run_forward(b)
     np.testing.assert_array_equal(out_a.final.cls_logits, out_b.final.cls_logits)
     np.testing.assert_array_equal(out_a.final.reg, out_b.final.reg)
+
+
+def test_packing_params_keeps_the_checkpoint_bytes(tmp_path):
+    model = TrackerModel(tiny_config(seed=6, use_bn=True))
+    scramble_params(model)
+    model.save(tmp_path / "before.ckpt")
+    opt = Adam(model.params())
+    model.save(tmp_path / "after.ckpt")
+    assert (tmp_path / "before.ckpt").read_bytes() == (tmp_path / "after.ckpt").read_bytes()
+    assert all(np.shares_memory(p.value, opt.value) and np.shares_memory(p.grad, opt.grad)
+               for p in model.params())
+
+
+def test_gradient_check_passes_on_a_packed_model(monkeypatch):
+    class Packed(TrackerModel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            Adam(self.params())
+
+    monkeypatch.setattr(pctrack.checks, "TrackerModel", Packed)
+    assert full_model_gradient_error(True, use_bn=True) < 1e-4
 
 
 def test_model_checkpoint_rejects_other_architecture(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pctrack.numeric import (
+    ADAM_CHUNK,
     Adam,
     BatchNorm,
     Linear,
@@ -533,6 +534,99 @@ def test_adam_rejects_nonfinite_grad():
     p.grad += np.array([np.nan, 0.0])
     with pytest.raises(FloatingPointError, match="bad_layer"):
         opt.step()
+
+
+class LonghandAdam:
+    """The per-parameter Adam step: the reference for the flat one."""
+
+    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(p.value) for p in params]
+        self.v = [np.zeros_like(p.value) for p in params]
+
+    def step(self, lr):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        bias1 = 1.0 - b1 ** self.t
+        bias2 = 1.0 - b2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p.value -= lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+
+
+# 8,300 elements straddle the first chunk boundary and 8,200 the second.
+_CHUNKED_SHAPES = [(7, 3), (100, 83), (5,), (2, 4100)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flat_adam_step_is_the_per_parameter_step_bitwise(dtype):
+    ends = np.cumsum([math.prod(s) for s in _CHUNKED_SHAPES])
+    assert ends[0] < ADAM_CHUNK < ends[1] and ends[2] < 2 * ADAM_CHUNK < ends[3]
+    rng = np.random.default_rng(41)
+    init = [rng.normal(size=s).astype(dtype) for s in _CHUNKED_SHAPES]
+    flat = [Param(f"p{i}", a.copy()) for i, a in enumerate(init)]
+    ref = [Param(f"p{i}", a.copy()) for i, a in enumerate(init)]
+    opt, longhand = Adam(flat), LonghandAdam(ref)
+    for lr in (1e-3, 4e-3, 2.5e-4, 1e-2, 7e-4):
+        opt.zero_grad()
+        for p, q in zip(flat, ref):
+            g = (rng.normal(size=p.shape) * 10.0 ** rng.uniform(-4, 1)).astype(dtype)
+            p.grad += g
+            q.grad[...] = g
+        opt.step(lr=lr)
+        longhand.step(lr)
+        for p, q in zip(flat, ref):
+            assert p.value.dtype == dtype and p.value.tobytes() == q.value.tobytes()
+        assert opt.m.tobytes() == np.concatenate([m.ravel() for m in longhand.m]).tobytes()
+        assert opt.v.tobytes() == np.concatenate([v.ravel() for v in longhand.v]).tobytes()
+
+
+def test_average_grad_is_the_per_parameter_division_bitwise():
+    rng = np.random.default_rng(42)
+    params = [Param(n, rng.normal(size=s).astype(np.float32))
+              for n, s in (("a", (3, 4)), ("b", (5,)))]
+    opt = Adam(params)
+    for p in params:
+        p.grad += rng.normal(size=p.shape).astype(np.float32)
+    want = [p.grad / 7 for p in params]
+    opt.average_grad(7)
+    for p, w in zip(params, want):
+        assert p.grad.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_adam_non_finite_grad_names_the_first_such_param_and_moves_nothing(bad):
+    params = [Param(n, np.linspace(-1.0, 1.0, k)) for n, k in (("a", 4), ("b", 3), ("c", 5))]
+    opt = Adam(params)
+    for p in params:
+        p.grad += 0.5
+    params[1].grad[2] = bad
+    params[2].grad[0] = np.nan
+    before = [p.value.copy() for p in params]
+    with pytest.raises(FloatingPointError, match=r"in b$"):
+        opt.step()
+    for p, b in zip(params, before):
+        np.testing.assert_array_equal(p.value, b)
+    assert not opt.m.any() and not opt.v.any()
+
+
+def test_adam_over_no_params_steps():
+    opt = Adam([])
+    opt.zero_grad()
+    opt.average_grad(2)
+    opt.step()
+    assert opt.t == 1
+
+
+def test_adam_refuses_mixed_dtypes():
+    with pytest.raises(ValueError, match="dtype"):
+        Adam([Param("a", np.zeros(2, np.float32)), Param("b", np.zeros(2, np.float64))])
 
 
 def test_lr_schedule():
