@@ -40,6 +40,7 @@ from .evaldata import (
     save_dataset,
     synth_tracklet,
     track_tracklet,
+    tracklet_rng,
 )
 from .model import TrackerModel
 from .pipeline import LOSS_KEYS, OracleModel, train
@@ -191,7 +192,7 @@ def cmd_track(args) -> int:
                          f"(dataset has {len(tracklets)})")
     tracklet = tracklets[args.index]
     boxes, reasons, ious, _ = track_tracklet(
-        tracklet, model, np.random.default_rng(cfg.seed),
+        tracklet, model, tracklet_rng(cfg.seed, args.index),
         cfg.template_extend_ratio, cfg.search_margin_m)
     out = _out_dir(args)
     path = out / "boxes.csv"

@@ -164,7 +164,6 @@ _FIELDS = {f.name: f for f in fields(RunConfig)}
 
 
 def _parse_value(name: str, raw: str):
-    f = _FIELDS[name]
     raw = raw.strip()
     base = RunConfig()
     current = getattr(base, name)

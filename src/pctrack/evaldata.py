@@ -259,6 +259,11 @@ class EvalReport:
                 "failures": self.failures}
 
 
+def tracklet_rng(seed: int, i: int) -> np.random.Generator:
+    """Tracklet i's RNG stream, spawned from ``seed``, for ``evaluate`` and ``track``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+
+
 def track_tracklet(tracklet: Tracklet, model, rng: np.random.Generator,
                    extend_ratio: float = RunConfig.template_extend_ratio,
                    margin_m: float = RunConfig.search_margin_m):
@@ -294,7 +299,7 @@ def evaluate(tracklets, model, seed: int = 0, threads: int = 1,
              margin_m: float = RunConfig.search_margin_m) -> EvalReport:
     """Run the tracker over every tracklet and aggregate Success/Precision.
 
-    Tracklet ``i`` draws from its own RNG stream, spawned from ``seed``.
+    Tracklet ``i`` draws from its own RNG stream, ``tracklet_rng(seed, i)``.
     Tracklets that raise are reported as failures, in tracklet order, and
     the rest still count. ``model_builder(i, tracklet)``, when given,
     supplies a per-tracklet model instead of the shared one.
@@ -309,7 +314,7 @@ def evaluate(tracklets, model, seed: int = 0, threads: int = 1,
     def run(i):
         try:
             m = model if model_builder is None else model_builder(i, tracklets[i])
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+            rng = tracklet_rng(seed, i)
             return track_tracklet(tracklets[i], m, rng, extend_ratio, margin_m)
         except Exception as e:  # noqa: BLE001 - per-tracklet isolation
             return {"tracklet": i, "error": str(e)}

@@ -296,7 +296,7 @@ def float32_filter(a: np.ndarray, b: np.ndarray, r2: float = 0.0):
     ``|b_j|²``, and the bound ``E`` of a float32 filter in front of
     ``pair_sq_dist``.
 
-    The copies are the inputs themselves when both are float32. Let ``g_ij``
+    Each copy is its input itself when that is float32. Let ``g_ij``
     be the float32 ``|b_j|² - 2·a_i·b_j`` of ``shifted_sq_dist_blocks`` on the
     copies, ``R`` the largest ``S_i`` plus the largest ``|b_j|²`` plus ``r2``,
     ``u = 2^-24`` and ``e_ij = pair_sq_dist(a_i, b_j)``. Then
@@ -310,10 +310,8 @@ def float32_filter(a: np.ndarray, b: np.ndarray, r2: float = 0.0):
     strictly ordered; the absolute term covers underflow. ``E`` is ``+inf``
     for inputs outside the filter's range: ``|x| > 2^40`` or non-finite.
     """
-    a32, b32 = a, b
-    if a.dtype != np.float32 or b.dtype != np.float32:
-        with np.errstate(over="ignore"):  # out-of-range values read inf
-            a32, b32 = a.astype(np.float32), b.astype(np.float32)
+    with np.errstate(over="ignore"):  # out-of-range values read inf
+        a32, b32 = a.astype(np.float32, copy=False), b.astype(np.float32, copy=False)
     an = np.einsum("ij,ij->i", a32, a32)
     bn = np.einsum("ij,ij->i", b32, b32)
     big_a = float(an.max(initial=0.0))

@@ -171,7 +171,7 @@ def prm_offset_backward(d_mapped: np.ndarray, seed_coords: np.ndarray,
 
 
 def local_pool_forward(queries: np.ndarray, cloud_coords: np.ndarray,
-                       cloud_feats: np.ndarray, radius: float = 1.0,
+                       cloud_feats: np.ndarray, radius: float,
                        group=None, keep_cache: bool = True):
     """Max-pool each query's in-radius neighbor features; empty → zero row.
 

@@ -3,7 +3,7 @@
 All samplers are deterministic given their inputs (and an explicit rng for
 the stochastic ones): ties always break toward the lowest index, and asking
 for more points than exist falls back to selecting everything and padding
-round-robin, with the padding recorded on the result.
+round-robin (``_take``), with the padding recorded on the result.
 """
 
 from __future__ import annotations
@@ -27,21 +27,18 @@ class SampleSelection:
         object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
 
 
-def _pad_round_robin(indices: np.ndarray, k: int) -> np.ndarray:
-    """Extend a full selection to length k by cycling through it again."""
-    n = indices.shape[0]
-    reps = -(-k // n)  # ceil
-    return np.tile(indices, reps)[:k]
+def _take(order: np.ndarray, k: int) -> SampleSelection:
+    """The first k entries of ``order``, then round robin again, marked ``padded``."""
+    if k <= order.shape[0]:
+        return SampleSelection(order[:k])
+    return SampleSelection(np.tile(order, -(-k // order.shape[0]))[:k], padded=True)
 
 
 def sample_random(n: int, k: int, rng: np.random.Generator) -> SampleSelection:
     """k distinct uniform indices out of n (padded round-robin when k > n)."""
     if n < 1:
         raise ValueError("need at least one point")
-    perm = rng.permutation(n).astype(np.int64)
-    if k <= n:
-        return SampleSelection(perm[:k])
-    return SampleSelection(_pad_round_robin(perm, k), padded=True)
+    return _take(rng.permutation(n), k)
 
 
 def _greedy_farthest(points: np.ndarray, k: int, start_index: int) -> SampleSelection:
@@ -93,9 +90,7 @@ def _greedy_farthest(points: np.ndarray, k: int, start_index: int) -> SampleSele
         sq_dist_to(nxt)
         np.minimum(min_d2, row, out=min_d2)
         min_d2[nxt] = -1.0
-    if k <= n:
-        return SampleSelection(chosen)
-    return SampleSelection(_pad_round_robin(chosen, k), padded=True)
+    return _take(chosen, k)
 
 
 def sample_dfps(coords: np.ndarray, k: int, start_index: int = 0) -> SampleSelection:
@@ -112,7 +107,7 @@ def dfps_prefix(n: int, k: int) -> SampleSelection:
     copies come last, at distance 0, in index order (README, "Exact
     shortcuts").
     """
-    return SampleSelection(_pad_round_robin(np.arange(n), k), padded=k > n)
+    return _take(np.arange(n), k)
 
 
 def sample_ffps(features: np.ndarray, k: int, start_index: int = 0) -> SampleSelection:
@@ -179,14 +174,10 @@ def ras_scores(search_feats: np.ndarray, template_feats: np.ndarray,
         v[rest] = _exhaustive_scores(s, t, rest)
         return v
     if m * n >= _SLAB_MIN_PAIRS:
-        rows, cols, several = _slab_pairs(s32, t32, sn, tn, e, k)
+        rows, cols = _slab_pairs(s32, t32, sn, tn, e, k)
     else:
-        rows, cols, several = _one_block_pairs(s32, t32, sn, tn, e, k)
-    d2 = pair_sq_dist(s.take(rows, axis=0), t.take(cols, axis=0))
-    if several:
-        np.minimum.at(v, rows, d2)
-    else:
-        v[rows] = d2
+        rows, cols = _one_block_pairs(s32, t32, sn, tn, e, k)
+    np.minimum.at(v, rows, pair_sq_dist(s.take(rows, axis=0), t.take(cols, axis=0)))
     return np.sqrt(v, out=v)
 
 
@@ -210,27 +201,22 @@ def _template_rows(t32: np.ndarray, tn: np.ndarray) -> np.ndarray:
 
 
 def _one_block_pairs(s32, t32, sn, tn, e, k):
-    """``(rows, cols, several)``: the pairs to score exactly, with
-    ``several`` set when some row has more than one. Every pair of the call
+    """``(rows, cols)``: the pairs to score exactly. Every pair of the call
     goes through one GEMM, taken transposed, one column per search row, so
     each row's minimum is a column-wise ``np.minimum.reduce``, as in
     ``_slab_pairs``; rows that cannot rank get a band below every ``g`` and
-    so take no pair. Below ``_SLAB_MIN_PAIRS`` pairs the product is under
-    4 MB."""
+    so take no pair. At k = m the k-th ``a`` is the largest, so every row
+    passes. Below ``_SLAB_MIN_PAIRS`` pairs the product is under 4 MB."""
     m, d = s32.shape
     left = np.ones((m, d + 1), dtype=np.float32)
     left[:, :d] = s32
     h = np.matmul(_template_rows(t32, tn), left.T)
     h_min = np.minimum.reduce(h, axis=0)
     band = h_min + 2.0 * e
-    kept = m
-    if k < m:
-        a = h_min + sn
-        can_rank = a <= np.partition(a, k - 1)[k - 1] + 2.0 * e
-        band[~can_rank] = -np.inf
-        kept = np.count_nonzero(can_rank)
+    a = h_min + sn
+    band[~(a <= np.partition(a, k - 1)[k - 1] + 2.0 * e)] = -np.inf
     cols, rows = np.divmod(np.flatnonzero(h <= band), m)
-    return rows, cols, cols.shape[0] > kept
+    return rows, cols
 
 
 _SLAB_ROWS = 128  # search rows per slab
@@ -276,7 +262,7 @@ def _shifted_blocks(right, rows32, spans):
 
 
 def _slab_pairs(s32, t32, sn, tn, e, k):
-    """``(rows, cols, several)`` as in ``_one_block_pairs``, found on slabs
+    """``(rows, cols)`` as in ``_one_block_pairs``, found on slabs
     of the template's top principal axis.
 
     Both sides are projected on the axis ``p`` of ``_principal_axis``
@@ -341,23 +327,16 @@ def _slab_pairs(s32, t32, sn, tn, e, k):
     hit = np.flatnonzero(a <= cut)
     spans = slab_spans(y[hit], zt, _SLAB_BAND_ROWS, math.sqrt(cut + slack) + eps)
     rows, cols = [], []
-    several = False
     for lo, hi, c0, h in _shifted_blocks(right, rows32.take(hit, axis=0), spans):
         c, i = np.divmod(np.flatnonzero(h <= h.min(axis=0) + 2.0 * e), hi - lo)
-        several = several or c.shape[0] > hi - lo
         rows.append(order[hit[i + lo]])
         cols.append(torder[c + c0])
-    return np.concatenate(rows), np.concatenate(cols), several
+    return np.concatenate(rows), np.concatenate(cols)
 
 
 def sample_ras(search_feats: np.ndarray, template_feats: np.ndarray, k: int) -> SampleSelection:
     """The k search points most feature-similar to the template."""
-    v = ras_scores(search_feats, template_feats, k)
-    order = np.argsort(v, kind="stable").astype(np.int64)
-    n = order.shape[0]
-    if k <= n:
-        return SampleSelection(order[:k])
-    return SampleSelection(_pad_round_robin(order, k), padded=True)
+    return _take(np.argsort(ras_scores(search_feats, template_feats, k), kind="stable"), k)
 
 
 def sample_hybrid(search_feats: np.ndarray, template_feats: np.ndarray, k: int,
@@ -367,8 +346,7 @@ def sample_hybrid(search_feats: np.ndarray, template_feats: np.ndarray, k: int,
         raise ValueError(f"hybrid sampling needs an even k, got {k}")
     n = np.asarray(search_feats).shape[0]
     if k >= n:
-        full = sample_ras(search_feats, template_feats, k)
-        return full
+        return sample_ras(search_feats, template_feats, k)
     half = k // 2
     ras_half = sample_ras(search_feats, template_feats, half).indices
     mask = np.ones(n, dtype=bool)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import pctrack.cli
+import pctrack.evaldata
 from pctrack.checks import CheckResult, oracle_suite
 from pctrack.cli import main
 from pctrack.evaldata import load_dataset
@@ -130,6 +131,31 @@ def test_train_track_eval_round(small_dataset, tmp_path, capsys):
     report = json.loads((ev_out / "eval.json").read_text())
     assert set(report) == {"per_class", "average", "failures"}
     assert report["average"]["frames"] == 6
+
+
+def test_track_writes_the_boxes_eval_tracks(small_dataset, tmp_path, monkeypatch):
+    """``track --index 1`` tracks tracklet 1 with the RNG stream ``eval``
+    gives it, so with the default hybrid sampler both give the same boxes."""
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(small_dataset), "--out", str(run),
+                 "--profile", "tiny", "--epochs", "0"]) == 0
+    tracked = {}
+    real = pctrack.evaldata.track_tracklet
+
+    def spy(tracklet, *args):
+        result = real(tracklet, *args)
+        tracked[tracklet.object_id] = result[0]
+        return result
+
+    monkeypatch.setattr(pctrack.evaldata, "track_tracklet", spy)
+    assert main(["eval", "--data", str(small_dataset), "--ckpt", str(run / "model.ckpt"),
+                 "--seed", "4"]) == 0
+    assert main(["track", "--data", str(small_dataset), "--ckpt", str(run / "model.ckpt"),
+                 "--out", str(tmp_path / "t"), "--index", "1", "--seed", "4"]) == 0
+    with open(tmp_path / "t" / "boxes.csv") as f:
+        written = [[float(v) for v in row[1:8]] for row in list(csv.reader(f))[1:]]
+    boxes = tracked[load_dataset(small_dataset)[1].object_id]
+    assert written == [b.as_array7().tolist() for b in boxes]
 
 
 def test_track_index_out_of_range(small_dataset, tmp_path):

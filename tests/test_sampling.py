@@ -611,20 +611,30 @@ def test_relation_sampling_keeps_more_foreground():
 # ---------------------------------------------------------------- general
 
 
-@pytest.mark.parametrize("n,k", [(5, 3), (5, 5), (3, 7)])
+@pytest.mark.parametrize("n,k", [(5, 3), (5, 5), (3, 7), (6, 4), (4, 4), (3, 8)])
 def test_selection_lengths(n, k):
+    """Every sampler gives k indices: min(n, k) distinct points, then the
+    same points again round robin, marked padded. Hybrid needs an even k;
+    from k = n on it is the relation sampler alone."""
     rng = np.random.default_rng(13)
     feats = rng.normal(size=(n, 4))
     template = rng.normal(size=(2, 4))
-    for sel in (
+    sels = [
         sample_random(n, k, rng),
         sample_dfps(feats[:, :3], k),
+        dfps_prefix(n, k),
         sample_ffps(feats, k),
         sample_ras(feats, template, k),
-    ):
+    ]
+    if k % 2 == 0:
+        sels.append(sample_hybrid(feats, template, k, rng))
+    for sel in sels:
         assert sel.indices.shape == (k,)
         assert (sel.indices < n).all() and (sel.indices >= 0).all()
         assert sel.padded == (k > n)
+        head = sel.indices[: min(n, k)]
+        assert np.unique(head).shape[0] == head.shape[0]
+        np.testing.assert_array_equal(sel.indices, np.resize(head, k))
 
 
 def test_selection_type_holds_int64_indices():
